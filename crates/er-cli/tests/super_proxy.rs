@@ -211,6 +211,83 @@ fn proxy_answers_byte_identical_to_single_process_across_layouts() {
 }
 
 #[test]
+fn serial_round_trips_skip_the_delayed_ack_and_hostile_lines_are_refused() {
+    let base = std::env::temp_dir().join(format!("er-super-wire-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).expect("scratch dir");
+    let store = base.join("store");
+    build_store(&store);
+    let proxy = start_daemon(
+        "supervise",
+        &store,
+        &[
+            "--method",
+            "epsilon",
+            "--clean",
+            "--model",
+            "T1G",
+            "--shards",
+            "4",
+            "--children",
+            "2",
+        ],
+    );
+
+    // Default socket options (Nagle on), one write per request. Each
+    // reply crosses two hops — child to proxy, proxy to client — and a
+    // line written as two segments on either would cost ~40 ms here.
+    let mut conn = TcpStream::connect(&proxy.addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+    let mut took: Vec<Duration> = (0..100)
+        .map(|i| {
+            let sent = Instant::now();
+            conn.write_all(format!("{{\"id\":{i},\"row\":{}}}\n", i % 12).as_bytes())
+                .expect("send");
+            let mut line = String::new();
+            assert!(reader.read_line(&mut line).expect("response line") > 0);
+            let took = sent.elapsed();
+            assert!(line.contains("\"candidates\""), "lookup {i}: {line:?}");
+            took
+        })
+        .collect();
+    took.sort();
+    let median = took[took.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median round-trip {median:?} (max {:?}): replies are waiting on a timer",
+        took[took.len() - 1]
+    );
+
+    // A 2 MiB line without a newline: one bad-request row, then EOF —
+    // and the proxy keeps serving everyone else.
+    let mut hostile = TcpStream::connect(&proxy.addr).expect("connect");
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    hostile
+        .set_write_timeout(Some(Duration::from_secs(30)))
+        .expect("write timeout");
+    // The proxy stops reading at the cap, so the tail may fail to send.
+    let _ = hostile.write_all(&vec![b'x'; 2 << 20]);
+    let mut hostile = BufReader::new(hostile);
+    let mut line = String::new();
+    hostile.read_line(&mut line).expect("bad-request row");
+    assert!(line.contains("\"error\":\"bad-request\""), "{line:?}");
+    let mut rest = String::new();
+    assert_eq!(hostile.read_line(&mut rest).unwrap_or(0), 0, "{rest:?}");
+
+    conn.write_all(b"{\"op\":\"health\"}\n").expect("send");
+    let mut health = String::new();
+    assert!(reader.read_line(&mut health).expect("health line") > 0);
+    assert!(health.contains("\"status\":\"serving\""), "{health:?}");
+
+    proxy.stop();
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
 fn sigkill_mid_load_yields_structured_rows_then_restart() {
     let base = std::env::temp_dir().join(format!("er-super-kill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);

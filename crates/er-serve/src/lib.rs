@@ -18,6 +18,10 @@
 //! * **Bounded admission with backpressure** — a full queue sheds new
 //!   requests immediately with a `retry_after_ms` response; memory stays
 //!   bounded under any offered load.
+//! * **Clients cannot wedge it** — request lines are capped at 1 MiB
+//!   (longer: one `bad-request` row, connection closed), and a reply
+//!   write to a client that stopped reading times out and closes the
+//!   connection instead of blocking the worker.
 //! * **Batched workers** — workers drain the queue in batches through the
 //!   same deterministic parallel layer and per-row query paths the
 //!   offline sweep uses, so a served answer is byte-identical to

@@ -7,7 +7,11 @@
 //! query jobs; a fixed pool of worker threads drains the admission queue
 //! in batches through [`Engine::lookup_batch`]. Responses are written
 //! under a per-connection mutex, so each request gets exactly one
-//! response line and lines never interleave.
+//! response line and lines never interleave; a worker writes a batch's
+//! replies with one write per connection. Every line reaches the socket
+//! through [`er_bench::wire::LineWriter`], and a client that stops
+//! reading fails that write after `default_deadline` instead of wedging
+//! the worker: its connection is closed and later replies to it dropped.
 //!
 //! Drain (`SIGTERM`, or the stop predicate): stop accepting, close the
 //! queue (new requests on live connections get a `draining` error),
@@ -22,7 +26,7 @@ use er::core::faults;
 use er::core::guard::{self, Deadline, FailReason, Limits, RunOutcome};
 use er::core::timing::{format_runtime, LatencyHistogram};
 use er_bench::jsonl::Json;
-use std::io::{BufRead, BufReader, Write};
+use er_bench::wire::{LineReader, LineWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -41,7 +45,9 @@ pub struct ServeConfig {
     pub batch: usize,
     /// Worker threads draining the queue.
     pub workers: usize,
-    /// Deadline applied when a request does not carry `deadline_ms`.
+    /// Deadline applied when a request does not carry `deadline_ms`;
+    /// also how long a reply write may block on a client that is not
+    /// reading before its connection is closed.
     pub default_deadline: Duration,
     /// `retry_after_ms` value in shed responses.
     pub retry_after_ms: u64,
@@ -113,18 +119,36 @@ enum Task {
 }
 
 /// The write half of a connection, shared by its reader and the workers.
+/// Write errors are not reported: a client that went away or stopped
+/// reading cannot be answered, so its connection is closed and whatever
+/// is sent to it afterwards is dropped.
 struct ConnWriter {
-    stream: Mutex<TcpStream>,
+    writer: Mutex<LineWriter<TcpStream>>,
 }
 
 impl ConnWriter {
-    /// Writes one response line; errors are swallowed (a client that went
-    /// away cannot be answered, and the reader will notice EOF on its own).
+    /// Writes one response line (after any queued ones, in the same write).
     fn send(&self, line: &str) {
-        let mut stream = self.stream.lock().unwrap();
-        let _ = stream.write_all(line.as_bytes());
-        let _ = stream.write_all(b"\n");
-        let _ = stream.flush();
+        self.queue(line);
+        self.flush();
+    }
+
+    /// Queues one response line for the next [`ConnWriter::flush`].
+    fn queue(&self, line: &str) {
+        self.writer.lock().unwrap().push(line);
+    }
+
+    /// Writes the queued lines in one write.
+    fn flush(&self) {
+        let mut writer = self.writer.lock().unwrap();
+        if writer.flush().is_err() {
+            writer.close();
+        }
+    }
+
+    /// Closes the connection; its reader then sees EOF.
+    fn close(&self) {
+        self.writer.lock().unwrap().close();
     }
 }
 
@@ -426,15 +450,35 @@ fn wrong_shard_line(shared: &Shared, id: &Json, row: u32) -> String {
 
 /// Reads request lines off one connection until EOF or shutdown.
 fn run_reader(shared: &Arc<Shared>, stream: TcpStream) {
-    let writer = match stream.try_clone() {
-        Ok(clone) => Arc::new(ConnWriter {
-            stream: Mutex::new(clone),
+    let accepted = stream
+        .try_clone()
+        .and_then(|clone| LineWriter::accepted(clone, shared.cfg.default_deadline));
+    let writer = match accepted {
+        Ok(writer) => Arc::new(ConnWriter {
+            writer: Mutex::new(writer),
         }),
         Err(_) => return,
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = LineReader::new(stream);
+    loop {
+        let line = match reader.read_line() {
+            Ok(Some(line)) => line,
+            Ok(None) => break,
+            Err(e) => {
+                // An over-long or non-UTF-8 line leaves the stream
+                // mid-line: one structured row, then the connection goes.
+                if e.kind() == std::io::ErrorKind::InvalidData {
+                    shared.stats.lock().unwrap().bad_requests += 1;
+                    writer.send(&protocol::err_line(
+                        &Json::Null,
+                        "bad-request",
+                        &e.to_string(),
+                    ));
+                    writer.close();
+                }
+                break;
+            }
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -443,7 +487,7 @@ fn run_reader(shared: &Arc<Shared>, stream: TcpStream) {
         // a dead reader thread.
         let parsed = guard::run_guarded(Limits::catching(), || {
             faults::fire("serve/decode");
-            Request::parse(&line)
+            Request::parse(line)
         });
         let request = match parsed {
             RunOutcome::Ok(Ok(request)) => request,
@@ -662,8 +706,11 @@ fn run_worker(shared: &Arc<Shared>) {
             .map(|job| (job.row, Limits::catching().with_deadline(job.deadline)))
             .collect();
         let outcomes = shared.engine.lookup_batch_scored(&jobs);
+        // The batch's replies all exist now: queue each on its connection
+        // and give every connection one write, not one per reply.
+        let mut touched: Vec<Arc<ConnWriter>> = Vec::new();
         for (job, outcome) in runnable.into_iter().zip(outcomes) {
-            match outcome {
+            let line = match outcome {
                 RunOutcome::Ok(scored) => {
                     let latency = job.admitted.elapsed();
                     {
@@ -673,8 +720,7 @@ fn run_worker(shared: &Arc<Shared>) {
                     }
                     let us = latency.as_micros().min(u64::MAX as u128) as u64;
                     if job.scored {
-                        job.out
-                            .send(&protocol::scored_line(&job.id, job.row, &scored, us));
+                        protocol::scored_line(&job.id, job.row, &scored, us)
                     } else {
                         // Ascending ids reproduce the plain answer exactly
                         // (ε answers are already ascending; kNN answers
@@ -682,8 +728,7 @@ fn run_worker(shared: &Arc<Shared>) {
                         let mut candidates: Vec<u32> =
                             scored.into_iter().map(|(id, _)| id).collect();
                         candidates.sort_unstable();
-                        job.out
-                            .send(&protocol::ok_line(&job.id, job.row, &candidates, us));
+                        protocol::ok_line(&job.id, job.row, &candidates, us)
                     }
                 }
                 RunOutcome::Failed { reason, .. } => {
@@ -697,10 +742,16 @@ fn run_worker(shared: &Arc<Shared>) {
                             "failed"
                         }
                     };
-                    job.out
-                        .send(&protocol::err_line(&job.id, kind, &reason.to_string()));
+                    protocol::err_line(&job.id, kind, &reason.to_string())
                 }
+            };
+            job.out.queue(&line);
+            if !touched.iter().any(|out| Arc::ptr_eq(out, &job.out)) {
+                touched.push(job.out);
             }
+        }
+        for out in touched {
+            out.flush();
         }
         shared.queue.done(n);
     }

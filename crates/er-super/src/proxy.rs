@@ -26,10 +26,9 @@ use crate::supervisor::{ChildSlot, SuperConfig};
 use er::core::timing::LatencyHistogram;
 use er::sparse::KnnJoin;
 use er_bench::jsonl::Json;
-use er_bench::wire::WireClient;
+use er_bench::wire::{LineReader, LineWriter, WireClient};
 use er_serve::protocol::{self, Request};
 use er_serve::ServeMethod;
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -673,23 +672,40 @@ impl Proxy {
     }
 }
 
-/// One client connection: read a line, answer a line, in order.
+/// One client connection: read a line, answer a line, in order. A
+/// client that stops reading fails the reply write after the default
+/// deadline and is disconnected, like a serve daemon's.
 fn handle_client(shared: Arc<Shared>, stream: TcpStream) {
-    use std::io::BufRead;
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
+    let accepted = stream
+        .try_clone()
+        .and_then(|clone| LineWriter::accepted(clone, shared.cfg.default_deadline));
+    let Ok(mut writer) = accepted else {
         return;
     };
-    let mut writer = stream;
+    let mut reader = LineReader::new(stream);
     let mut conns: Vec<Option<ChildConn>> = (0..shared.slots.len()).map(|_| None).collect();
-    for line in std::io::BufReader::new(read_half).lines() {
-        let Ok(line) = line else { break };
+    loop {
+        let line = match reader.read_line() {
+            Ok(Some(line)) => line,
+            Ok(None) => break,
+            Err(e) => {
+                // An over-long or non-UTF-8 line leaves the stream
+                // mid-line: one structured row, then the connection goes.
+                if e.kind() == std::io::ErrorKind::InvalidData {
+                    shared.stats.lock().expect("stats lock").bad_requests += 1;
+                    let row = protocol::err_line(&Json::Null, "bad-request", &e.to_string());
+                    let _ = writer.send(&row);
+                    writer.close();
+                }
+                break;
+            }
+        };
         if line.trim().is_empty() {
             continue;
         }
-        let mut response = shared.dispatch(&line, &mut conns);
-        response.push('\n');
-        if writer.write_all(response.as_bytes()).is_err() {
+        if writer.send(&shared.dispatch(line, &mut conns)).is_err() {
+            // The client went away or stopped reading; the line may be torn.
+            writer.close();
             break;
         }
     }

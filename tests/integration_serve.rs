@@ -24,13 +24,13 @@ use er::prelude::{EpsilonJoin, KnnJoin, RepresentationModel, SimilarityMeasure};
 use er_bench::jsonl::Json;
 use er_bench::{run_sweep, Settings};
 use er_serve::{Engine, ServeConfig, ServeMethod, Server, ServerStats};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Serializes the tests: the daemon's fault sites read the process-global
 /// fault plan, so two servers must never run concurrently.
@@ -480,6 +480,260 @@ fn drain_answers_every_accepted_line_before_shutdown() {
         assert_eq!(stats.served as usize, served);
         assert_eq!(stats.drained_refusals as usize, refused);
     });
+}
+
+/// One request line in a single `write`, then its reply line: what a
+/// client that frames its own requests properly does.
+fn exchange(conn: &mut TcpStream, reader: &mut BufReader<TcpStream>, request: &str) -> String {
+    conn.write_all(format!("{request}\n").as_bytes())
+        .expect("send");
+    let mut line = String::new();
+    let n = reader.read_line(&mut line).expect("response line");
+    assert!(n > 0, "connection closed before the reply to {request}");
+    line.trim_end().to_owned()
+}
+
+#[test]
+fn serial_round_trips_do_not_wait_out_a_delayed_ack() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let fx = fixture();
+    let engine =
+        Engine::open(&fx.store, &fx.view, ServeMethod::Epsilon(epsilon()), 1).expect("open");
+    let rows = engine.rows();
+    let server = RunningServer::start(ServeConfig::default(), engine);
+
+    // Default socket options: Nagle on, no TCP_NODELAY. A reply written
+    // as two segments would hold its newline back until this client's
+    // delayed-ACK timer (~40 ms) fires, on every single round-trip.
+    let mut conn = TcpStream::connect(server.addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+    let mut took: Vec<Duration> = (0..100)
+        .map(|i| {
+            let sent = Instant::now();
+            let reply = exchange(
+                &mut conn,
+                &mut reader,
+                &format!(r#"{{"id":{i},"row":{}}}"#, i % rows),
+            );
+            let took = sent.elapsed();
+            let v = Json::parse(&reply).expect("response json");
+            assert_eq!(v.get("id").and_then(Json::as_f64), Some(i as f64));
+            assert!(v.get("candidates").is_some(), "{reply}");
+            took
+        })
+        .collect();
+    took.sort();
+    let median = took[took.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median round-trip {median:?} (max {:?}): replies are waiting on a timer",
+        took[took.len() - 1]
+    );
+    server.stop();
+}
+
+#[test]
+fn a_batch_spanning_two_connections_answers_each_in_admission_order() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let fx = fixture();
+    // Row 0 stalls its (one-job) batch, so everything sent meanwhile is
+    // queued together and forms the next batch across both connections.
+    let plan = FaultPlan::parse("stall@serve/query/0:ms=200").expect("plan");
+    faults::with_plan(plan, || {
+        let engine =
+            Engine::open(&fx.store, &fx.view, ServeMethod::Epsilon(epsilon()), 1).expect("open");
+        let server = RunningServer::start(
+            ServeConfig {
+                workers: 1,
+                batch: 64,
+                default_deadline: Duration::from_secs(10),
+                ..ServeConfig::default()
+            },
+            engine,
+        );
+        let connect = || {
+            let conn = TcpStream::connect(server.addr).expect("connect");
+            conn.set_read_timeout(Some(Duration::from_secs(30)))
+                .expect("read timeout");
+            conn
+        };
+        let (mut a, mut b) = (connect(), connect());
+        a.write_all(b"{\"id\":\"stall\",\"row\":0}\n")
+            .expect("send");
+        std::thread::sleep(Duration::from_millis(50));
+        const PER_CONN: usize = 12;
+        for i in 0..PER_CONN {
+            // Interleaved, one write each; rows 1.. do not stall.
+            a.write_all(format!("{{\"id\":\"a{i}\",\"row\":{}}}\n", 1 + i).as_bytes())
+                .expect("send a");
+            b.write_all(format!("{{\"id\":\"b{i}\",\"row\":{}}}\n", 1 + i).as_bytes())
+                .expect("send b");
+        }
+        let ids = |conn: TcpStream, n: usize| -> Vec<String> {
+            let mut reader = BufReader::new(conn);
+            (0..n)
+                .map(|_| {
+                    let mut line = String::new();
+                    assert!(reader.read_line(&mut line).expect("response line") > 0);
+                    let v = Json::parse(line.trim_end()).expect("response json");
+                    assert!(v.get("candidates").is_some(), "{line}");
+                    str_field(&v, "id").expect("string id").to_owned()
+                })
+                .collect()
+        };
+        let mut want_a = vec!["stall".to_owned()];
+        want_a.extend((0..PER_CONN).map(|i| format!("a{i}")));
+        let want_b: Vec<String> = (0..PER_CONN).map(|i| format!("b{i}")).collect();
+        assert_eq!(
+            ids(a, 1 + PER_CONN),
+            want_a,
+            "connection a: once each, in order"
+        );
+        assert_eq!(
+            ids(b, PER_CONN),
+            want_b,
+            "connection b: once each, in order"
+        );
+
+        let stats = server.stop();
+        assert_eq!(
+            stats.served as usize,
+            1 + 2 * PER_CONN,
+            "nothing answered twice"
+        );
+    });
+}
+
+#[test]
+fn a_client_that_never_reads_cannot_wedge_the_worker() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let fx = fixture();
+    let eps = epsilon();
+    // The row with the longest reply, so the flood fills the socket
+    // buffers between the daemon and the silent client.
+    let fattest = offline_rows(&eps, &fx.view)
+        .iter()
+        .enumerate()
+        .max_by_key(|(_, ids)| ids.len())
+        .map(|(row, _)| row)
+        .expect("rows");
+    let engine = Engine::open(&fx.store, &fx.view, ServeMethod::Epsilon(eps), 1).expect("open");
+    let server = RunningServer::start(
+        ServeConfig {
+            workers: 1,
+            // Admit the whole flood: the point is the worker's writes.
+            queue_bound: 1 << 17,
+            // Also the write timeout a stalled reply is given.
+            default_deadline: Duration::from_millis(300),
+            ..ServeConfig::default()
+        },
+        engine,
+    );
+
+    // The slow reader pipelines lookups, 1,000 at a time, and never
+    // reads a byte; after each burst a well-behaved client does one
+    // round-trip, queued behind the burst. Once the socket buffers
+    // between the daemon and the silent client are full (a few MB, the
+    // kernel decides), the worker's write to it stalls — for a write
+    // timeout or two (`write_all` may get one partial write in first),
+    // after which the daemon hangs up and sends start failing.
+    let mut silent = TcpStream::connect(server.addr).expect("connect");
+    silent
+        .set_write_timeout(Some(Duration::from_secs(20)))
+        .expect("write timeout");
+    let burst = format!("{{\"id\":0,\"row\":{fattest},\"deadline_ms\":60000,\"scored\":true}}\n")
+        .repeat(1000);
+    let mut conn = TcpStream::connect(server.addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+    let mut slowest = Duration::ZERO;
+    let mut bursts = 0usize;
+    while silent.write_all(burst.as_bytes()).is_ok() {
+        bursts += 1;
+        assert!(
+            bursts < 500,
+            "the daemon never hung up on the silent client"
+        );
+        let sent = Instant::now();
+        let reply = exchange(
+            &mut conn,
+            &mut reader,
+            &format!(r#"{{"id":{bursts},"row":1,"deadline_ms":10000}}"#),
+        );
+        slowest = slowest.max(sent.elapsed());
+        let v = Json::parse(&reply).expect("response json");
+        assert!(
+            v.get("candidates").is_some(),
+            "after burst {bursts}: {reply}"
+        );
+    }
+    assert!(
+        bursts >= 5,
+        "only {bursts} bursts got in before the hang-up"
+    );
+    assert!(
+        slowest < Duration::from_secs(5),
+        "a lookup waited {slowest:?} behind the silent client"
+    );
+
+    // What the silent client had buffered is still readable; then the
+    // stream ends instead of blocking.
+    silent
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    if let Err(e) = (&silent).read_to_end(&mut Vec::new()) {
+        assert!(
+            !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "the silent client's connection is still open: {e}"
+        );
+    }
+
+    // And the drain completes: no worker is stuck in a write.
+    let stats = server.stop();
+    assert!(
+        stats.served as usize >= bursts,
+        "the second client's lookups"
+    );
+    assert_eq!(stats.timeouts, 0);
+}
+
+#[test]
+fn an_over_long_line_gets_one_bad_request_row_and_the_daemon_lives() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let fx = fixture();
+    let engine =
+        Engine::open(&fx.store, &fx.view, ServeMethod::Epsilon(epsilon()), 1).expect("open");
+    let server = RunningServer::start(ServeConfig::default(), engine);
+
+    for hostile in [vec![b'x'; 2 << 20], b"{\"row\":\xff\xfe}\n".to_vec()] {
+        let mut conn = TcpStream::connect(server.addr).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        conn.set_write_timeout(Some(Duration::from_secs(30)))
+            .expect("write timeout");
+        // The daemon stops reading at the cap and hangs up, so the tail
+        // of the line may fail to send; that is the point.
+        let _ = conn.write_all(&hostile);
+        let mut reader = BufReader::new(conn);
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("bad-request row");
+        let v = Json::parse(line.trim_end()).expect("response json");
+        assert_eq!(str_field(&v, "error"), Some("bad-request"), "{line}");
+        // ... and then the connection is closed, not left mid-line.
+        let mut rest = String::new();
+        assert_eq!(reader.read_line(&mut rest).unwrap_or(0), 0, "{rest}");
+    }
+
+    let probe = roundtrip(server.addr, &[r#"{"op":"health"}"#.to_owned()], 1);
+    assert_eq!(str_field(&probe[0], "status"), Some("serving"));
+    let stats = server.stop();
+    assert_eq!(stats.bad_requests, 2);
 }
 
 /// Copies the fixture store into a fresh scratch directory, so sharded
