@@ -1,7 +1,6 @@
 //! Per-kernel benchmarks of the hot-path rewrites: scalar vs blocked vs
-//! SIMD-dispatched dense kernels, raw-hash vs interned-packed ScanCount
-//! queries, packed vs plain posting traversal, and the exact vs
-//! quantized-with-rescore flat scan. CI runs this target with `--test`
+//! SIMD-dispatched dense kernels, raw-hash vs pre-interned ScanCount
+//! queries, and the flat kNN scan. CI runs this target with `--test`
 //! (one iteration, no timing) to keep the kernels exercised on every
 //! push.
 
@@ -45,7 +44,7 @@ fn bench_kernels(c: &mut Criterion) {
     }
 
     // ScanCount on the D2 smoke workload: raw token hashes vs pre-interned
-    // packed CSR rows.
+    // CSR rows.
     let ds = generate(profile("D2").expect("D2"), 0.1, 42);
     let view = text_view(&ds, &SchemaMode::Agnostic);
     let model = RepresentationModel::parse("C3G").expect("C3G");
@@ -71,7 +70,7 @@ fn bench_kernels(c: &mut Criterion) {
             }
         });
     });
-    c.bench_function("scancount/interned_packed_queries", |b| {
+    c.bench_function("scancount/interned_queries", |b| {
         let mut scratch = ScanCountScratch::default();
         let mut hits = Vec::new();
         b.iter(|| {
@@ -82,36 +81,8 @@ fn bench_kernels(c: &mut Criterion) {
         });
     });
 
-    // Posting traversal: branchless bitpacked unpack vs the plain u32 CSR
-    // layout it replaced.
-    let postings = index.postings();
-    let (plain_offsets, plain_values) = postings.decode_all();
-    c.bench_function("postings/packed_traverse", |b| {
-        let mut buf = Vec::new();
-        b.iter(|| {
-            let mut sum = 0u64;
-            for r in 0..postings.len() {
-                for &v in postings.decode_row_into(r, &mut buf) {
-                    sum += u64::from(v);
-                }
-            }
-            black_box(sum)
-        });
-    });
-    c.bench_function("postings/plain_traverse", |b| {
-        b.iter(|| {
-            let mut sum = 0u64;
-            for w in plain_offsets.windows(2) {
-                for &v in &plain_values[w[0] as usize..w[1] as usize] {
-                    sum += u64::from(v);
-                }
-            }
-            black_box(sum)
-        });
-    });
-
-    // Flat kNN scan: the exact row-at-a-time scan vs the quantized first
-    // pass with exact rescore (bit-identical results).
+    // Flat kNN: the bare kernel over every row vs the full scan with its
+    // top-k selection.
     let embedder = HashEmbedder::new(EmbeddingConfig {
         dim: 64,
         ..Default::default()
@@ -132,13 +103,9 @@ fn bench_kernels(c: &mut Criterion) {
             black_box(acc)
         });
     });
-    let quantized = FlatIndex::build(rows.clone(), Metric::L2Sq);
-    let exact = FlatIndex::build_unquantized(rows.clone(), Metric::L2Sq);
-    c.bench_function("flat_knn/exact", |b| {
-        b.iter(|| black_box(exact.knn(black_box(&q), 10)));
-    });
-    c.bench_function("flat_knn/quantized_rescore", |b| {
-        b.iter(|| black_box(quantized.knn(black_box(&q), 10)));
+    let index = FlatIndex::build(rows, Metric::L2Sq);
+    c.bench_function("flat_knn/scan", |b| {
+        b.iter(|| black_box(index.knn(black_box(&q), 10)));
     });
 }
 

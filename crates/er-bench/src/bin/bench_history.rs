@@ -7,27 +7,21 @@
 //! CI runs `bench_history --check --append` after `bench_smoke.sh`, so
 //! the kernel speedups accumulate one line per push and a regression
 //! fails the build instead of silently eroding. The median-of-recent
-//! baseline absorbs single-run timing noise; the size ratio of the
-//! packed postings is tracked alongside the timings since it regresses
-//! for layout (not noise) reasons only.
+//! baseline absorbs single-run timing noise. Only the keys of the current
+//! document are checked, so history rows keep the keys of metrics that
+//! have since been retired without affecting the gate.
 
 use er_bench::jsonl::Json;
 use std::process::Command;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// The metrics tracked across runs: history key and where it lives in
-/// the kernel-bench document. The packed and quantized entries track the
-/// *chosen* (size-aware cutover) paths — the numbers production code
-/// actually gets — while the forced bitpacked/quantized timings stay in
-/// the bench doc for reference.
+/// the kernel-bench document.
 const TRACKED: &[(&str, &str, &str)] = &[
     ("sparse_query", "sparse_query", "speedup"),
     ("sparse_build", "sparse_build", "speedup"),
-    ("packed_traverse", "packed_postings", "speedup"),
-    ("packed_size_ratio", "packed_postings", "size_ratio"),
     ("dense_dot_simd", "dense_dot_scan", "speedup_simd"),
     ("dense_l2_simd", "dense_l2_scan", "speedup_simd"),
-    ("quantized_scan", "quantized_scan", "speedup_chosen"),
 ];
 
 /// The metrics tracked for a `BENCH_shard.json` document (`"bench":

@@ -1,15 +1,14 @@
 //! Kernel/layout micro-benchmark: the optimized hot paths against their
 //! reference implementations on the D2 smoke workload — naive vs
-//! CSR/interned sparse queries, plain vs bitpacked posting traversal,
-//! scalar vs blocked vs SIMD-dispatched dense kernels, and the exact vs
-//! quantized-with-rescore flat scan.
+//! CSR/interned sparse queries and index builds, and scalar vs blocked vs
+//! SIMD-dispatched dense kernels.
 //!
 //! Every optimized variant is first checked against its reference —
 //! candidate sets must be identical and kernel outputs bitwise equal
 //! (`to_bits`) — and the binary exits non-zero on any mismatch, making it
 //! a correctness gate as much as a benchmark. It then times each pair and
 //! writes a one-line JSON summary — wall seconds per variant plus
-//! speedups and the packed-postings size ratio — to the output path
+//! speedups — to the output path
 //! (default `BENCH_kernels.json`). Run by `scripts/bench_smoke.sh` and
 //! uploaded as a CI artifact next to `BENCH_parallel.json` /
 //! `BENCH_prepare.json`; `bench_history` tracks the speedups over time.
@@ -21,8 +20,7 @@ use er::core::schema::{text_view, SchemaMode};
 use er::core::{Filter, Stopwatch};
 use er::datagen::{generate, profiles::profile};
 use er::dense::{
-    dot, dot_blocked, dot_scalar, l2_sq, l2_sq_blocked, EmbeddingConfig, FlatIndex, FlatVectors,
-    HashEmbedder, Metric,
+    dot, dot_blocked, dot_scalar, l2_sq, l2_sq_blocked, EmbeddingConfig, FlatVectors, HashEmbedder,
 };
 use er::sparse::reference::{self, NaiveScanCountIndex};
 use er::sparse::{
@@ -129,58 +127,6 @@ fn main() {
     let naive_build_s = time_min(reps, || NaiveScanCountIndex::build(&index_sets));
     let csr_build_s = time_min(reps, || ScanCountIndex::build(&index_sets));
 
-    // -- Packed postings: the *chosen* traversal (`decode_row_into`,
-    // which serves the plain mirror below the size cutover and unpacks
-    // above it) vs the plain u32 CSR it replaces, plus the always-unpack
-    // bitpacked path for reference. The chosen path must never be the
-    // slower of the two — that was the 0.21× smoke-scale regression the
-    // mirror cutover fixed.
-    let postings = csr_index.postings();
-    let (plain_offsets, plain_values) = postings.decode_all();
-    let traverse_chosen = || {
-        let mut buf = Vec::new();
-        let mut sum = 0u64;
-        for r in 0..postings.len() {
-            for &v in postings.decode_row_into(r, &mut buf) {
-                sum += u64::from(v);
-            }
-        }
-        sum
-    };
-    let traverse_bitpacked = || {
-        let mut buf = Vec::new();
-        let mut sum = 0u64;
-        for r in 0..postings.len() {
-            for &v in postings.unpack_row_into(r, &mut buf) {
-                sum += u64::from(v);
-            }
-        }
-        sum
-    };
-    let plain_sum: u64 = plain_values.iter().map(|&v| u64::from(v)).sum();
-    if traverse_chosen() != plain_sum || traverse_bitpacked() != plain_sum {
-        gate_failures.push("packed posting traversal vs plain CSR");
-    }
-    let packed_traverse_s = time_min(reps, traverse_chosen);
-    let bitpacked_traverse_s = time_min(reps, traverse_bitpacked);
-    let plain_traverse_s = time_min(reps, || {
-        let mut sum = 0u64;
-        for w in plain_offsets.windows(2) {
-            for &v in &plain_values[w[0] as usize..w[1] as usize] {
-                sum += u64::from(v);
-            }
-        }
-        sum
-    });
-    // Cutover gate (slack absorbs timer noise; the regression this
-    // guards was ~5x, not 1.5x).
-    let packed_floor = plain_traverse_s.min(bitpacked_traverse_s).as_secs_f64() * 1.5;
-    if packed_traverse_s.as_secs_f64() > packed_floor {
-        gate_failures.push("packed cutover chose the slower traversal path");
-    }
-    let packed_bytes = postings.heap_bytes();
-    let plain_bytes = postings.plain_bytes();
-
     // -- Dense kernels: scalar vs blocked vs whatever `dot`/`l2_sq`
     // dispatch to on this host (AVX2/NEON with the `simd` feature).
     let embedder = HashEmbedder::new(EmbeddingConfig {
@@ -227,39 +173,6 @@ fn main() {
     let l2_blocked_s = time_min(reps, || scan(&l2_sq_blocked));
     let l2_simd_s = time_min(reps, || scan(&l2_sq));
 
-    // -- Quantized flat scan with exact rescore vs the always-exact scan;
-    // results must be bitwise identical. `FlatIndex::build` is the
-    // *chosen* path — it only attaches the quantization sidecar above
-    // `QUANT_CUTOVER_ROWS` (the sidecar was a 0.36× loss at smoke scale)
-    // — so the forced-quantized constructor supplies the quantized
-    // timing and the chosen path is gated against both.
-    let k = 10usize;
-    let chosen = FlatIndex::build(rows.clone(), Metric::L2Sq);
-    let quantized = FlatIndex::build_quantized(rows.clone(), Metric::L2Sq);
-    let exact = FlatIndex::build_unquantized(rows.clone(), Metric::L2Sq);
-    let exact_nn = exact.knn_batch_with(1, &queries, k);
-    let identical_nn = |other: &FlatIndex| {
-        let nn = other.knn_batch_with(1, &queries, k);
-        nn.len() == exact_nn.len()
-            && nn.iter().zip(&exact_nn).all(|(a, b)| {
-                a.len() == b.len()
-                    && a.iter()
-                        .zip(b)
-                        .all(|(x, y)| x.0 == y.0 && x.1.to_bits() == y.1.to_bits())
-            })
-    };
-    let quant_identical = identical_nn(&quantized) && identical_nn(&chosen);
-    if !quant_identical {
-        gate_failures.push("quantized flat scan vs exact scan");
-    }
-    let quant_scan_s = time_min(reps, || quantized.knn_batch_with(1, &queries, k));
-    let exact_scan_s = time_min(reps, || exact.knn_batch_with(1, &queries, k));
-    let chosen_scan_s = time_min(reps, || chosen.knn_batch_with(1, &queries, k));
-    let quant_floor = exact_scan_s.min(quant_scan_s).as_secs_f64() * 1.5;
-    if chosen_scan_s.as_secs_f64() > quant_floor {
-        gate_failures.push("quantization cutover chose the slower scan path");
-    }
-
     let identical = gate_failures.is_empty();
     if !identical {
         for what in &gate_failures {
@@ -300,32 +213,6 @@ fn main() {
             ]),
         ),
         (
-            "packed_postings".to_owned(),
-            Json::Obj(vec![
-                (
-                    "candidate_sets_identical".to_owned(),
-                    Json::Bool(traverse_chosen() == plain_sum),
-                ),
-                ("plain_s".to_owned(), secs(plain_traverse_s)),
-                ("packed_s".to_owned(), secs(packed_traverse_s)),
-                ("bitpacked_s".to_owned(), secs(bitpacked_traverse_s)),
-                (
-                    "speedup".to_owned(),
-                    Json::Num(speedup(plain_traverse_s, packed_traverse_s)),
-                ),
-                (
-                    "speedup_bitpacked".to_owned(),
-                    Json::Num(speedup(plain_traverse_s, bitpacked_traverse_s)),
-                ),
-                ("packed_bytes".to_owned(), Json::Num(packed_bytes as f64)),
-                ("plain_bytes".to_owned(), Json::Num(plain_bytes as f64)),
-                (
-                    "size_ratio".to_owned(),
-                    Json::Num(plain_bytes as f64 / (packed_bytes as f64).max(1.0)),
-                ),
-            ]),
-        ),
-        (
             "dense_dot_scan".to_owned(),
             Json::Obj(vec![
                 ("bitwise_identical".to_owned(), Json::Bool(bits_ok)),
@@ -351,26 +238,6 @@ fn main() {
                 (
                     "speedup_simd".to_owned(),
                     Json::Num(speedup(l2_blocked_s, l2_simd_s)),
-                ),
-            ]),
-        ),
-        (
-            "quantized_scan".to_owned(),
-            Json::Obj(vec![
-                (
-                    "candidate_sets_identical".to_owned(),
-                    Json::Bool(quant_identical),
-                ),
-                ("exact_s".to_owned(), secs(exact_scan_s)),
-                ("quantized_s".to_owned(), secs(quant_scan_s)),
-                ("chosen_s".to_owned(), secs(chosen_scan_s)),
-                (
-                    "speedup".to_owned(),
-                    Json::Num(speedup(exact_scan_s, quant_scan_s)),
-                ),
-                (
-                    "speedup_chosen".to_owned(),
-                    Json::Num(speedup(exact_scan_s, chosen_scan_s)),
                 ),
             ]),
         ),

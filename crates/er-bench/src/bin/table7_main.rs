@@ -15,11 +15,11 @@
 //! cargo run --release --bin table7_main -- --store-dir artifacts
 //! ```
 //!
-//! `--threads N` (legacy alias: `--parallel N`) sets the worker count of
-//! the parallel execution layer and additionally fans dataset columns out
-//! over N threads. Effectiveness (PC/PQ/|C|) is byte-identical for every
-//! thread count, but reported run-times contend for cores — keep the
-//! default (serial columns) for faithful RT measurements.
+//! `--threads N` sets the worker count of the parallel execution layer
+//! and additionally fans dataset columns out over N threads.
+//! Effectiveness (PC/PQ/|C|) is byte-identical for every thread count,
+//! but reported run-times contend for cores — keep the default (serial
+//! columns) for faithful RT measurements.
 //!
 //! With `--timeout`, `--budget` or `--inject-faults`, each (setting,
 //! method) grid point runs under a guard: a panic, blown deadline or
@@ -44,27 +44,21 @@ fn usage_error(msg: &str) -> ! {
 
 fn main() {
     let settings = Settings::from_args();
-    // `--parallel` is the legacy alias of `--threads`; it also applies
-    // process-wide so the intra-method hot paths use the same count.
-    let threads: usize = match settings.flags.iter().position(|f| f == "--parallel") {
-        Some(pos) => {
-            let v = settings
-                .flags
-                .get(pos + 1)
-                .unwrap_or_else(|| usage_error("--parallel requires a thread count (or 'auto')"));
-            let n = Threads::parse_arg(v).unwrap_or_else(|e| usage_error(&e));
-            Threads::set(n);
-            if n == 0 {
-                Threads::get()
-            } else {
-                n
+    // The free-standing flags this binary interprets; `--csv` takes an
+    // optional path. Anything else is a typo, not something to ignore.
+    let mut flags = settings.flags.iter().peekable();
+    while let Some(flag) = flags.next() {
+        match flag.as_str() {
+            "--candidates" | "--configs" => {}
+            "--csv" => {
+                flags.next_if(|v| !v.starts_with("--"));
             }
+            other => usage_error(&format!("unknown flag {other:?}")),
         }
-        None => settings.threads,
-    };
+    }
     // Columns stay serial unless a thread count was requested explicitly;
     // the parallel layer inside each method still uses `Threads::get()`.
-    let column_workers = threads.max(1);
+    let column_workers = settings.threads.max(1);
     eprintln!(
         "Table VII sweep: scale {}, grid {:?}, target PC {}, reps {}, dim {}, threads {}",
         settings.scale,

@@ -8,21 +8,20 @@
 
 use er::blocking::BlockingCodec;
 use er::dense::{
-    CrossPolytopeCodec, DenseFlatCodec, DenseFlatQCodec, HyperplaneCodec, MinHashCodec,
-    PartitionedCodec,
+    CrossPolytopeCodec, DenseFlatQCodec, HyperplaneCodec, MinHashCodec, PartitionedCodec,
 };
-use er::sparse::{SparseCodec, SparseManifestCodec, SparsePackedCodec, SparseSegmentCodec};
+use er::sparse::{SparseManifestCodec, SparsePackedCodec, SparseSegmentCodec};
 use er::store::{ArtifactCodec, ArtifactStore};
 use std::io;
 use std::path::Path;
 
-/// One codec per artifact family (plus the decode-only legacy layouts),
-/// in codec-id order.
+/// One codec per artifact family, in codec-id order. Ids 1 (plain-CSR
+/// sparse) and 3 (first-generation dense flat) are retired and stay
+/// reserved: a file carrying one is a structured `NoCodec` load failure,
+/// and a new codec must never reuse them.
 pub fn all_codecs() -> Vec<Box<dyn ArtifactCodec>> {
     vec![
-        Box::new(SparseCodec),
         Box::new(BlockingCodec),
-        Box::new(DenseFlatCodec),
         Box::new(MinHashCodec),
         Box::new(HyperplaneCodec),
         Box::new(CrossPolytopeCodec),
@@ -54,7 +53,11 @@ mod tests {
     fn codec_ids_are_unique_and_stable() {
         let codecs = all_codecs();
         let ids: Vec<u32> = codecs.iter().map(|c| c.id()).collect();
-        assert_eq!(ids, vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]);
+        assert_eq!(
+            ids,
+            vec![2, 4, 5, 6, 7, 8, 9, 10, 11],
+            "1 and 3 are retired"
+        );
     }
 
     #[test]

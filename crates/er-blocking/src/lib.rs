@@ -22,7 +22,6 @@ pub mod filter;
 pub mod metablocking;
 pub mod propagation;
 pub mod purge;
-pub mod segmented;
 pub mod sorted_neighborhood;
 pub mod store;
 pub mod workflow;
@@ -34,7 +33,6 @@ pub use filter::block_filtering;
 pub use metablocking::{BlockingGraph, MetaBlocking, PruningAlgorithm, WeightingScheme};
 pub use propagation::comparison_propagation;
 pub use purge::block_purging;
-pub use segmented::{SegmentedBlocks, SigSegment};
 pub use sorted_neighborhood::SortedNeighborhood;
 pub use store::BlockingCodec;
 pub use workflow::{BlockingWorkflow, ComparisonCleaning, WorkflowKind};

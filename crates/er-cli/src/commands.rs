@@ -889,14 +889,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let artifacts = er_bench::open_store(&dir).expect("open store");
-            let filter = er::dense::FlatKnn {
+            let filter = er::sparse::EpsilonJoin {
                 cleaning: false,
-                k: 2,
-                reversed: false,
-                embedding: er::dense::EmbeddingConfig {
-                    dim: 16,
-                    ..Default::default()
-                },
+                model: er::sparse::RepresentationModel::parse("T1G").expect("T1G"),
+                measure: er::sparse::SimilarityMeasure::Cosine,
+                threshold: 0.4,
             };
             let view = TextView::new(
                 (0..6)
@@ -910,8 +907,8 @@ mod tests {
             let key = ArtifactKey::new(7, filter.repr_key());
             assert!(artifacts.store(&key, &prepared).expect("store"));
         }
-        // Covers the per-section compression report: the dense-flat-q
-        // codec reports the derived quantization sidecar's ratio.
+        // Covers the per-section compression report: the sparse-packed
+        // codec reports each structure's on-disk vs resident bytes.
         let dir_arg = dir.to_string_lossy().into_owned();
         store(&s(&["inspect", "--dir", &dir_arg])).expect("inspect");
         store(&s(&["verify", "--dir", &dir_arg])).expect("verify");

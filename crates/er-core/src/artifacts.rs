@@ -146,11 +146,10 @@ struct Inner {
 /// For the CSR artifacts (sparse token sets / postings, dense
 /// `FlatVectors`) the producers report the exact heap footprint of their
 /// flat arrays, so the budget tracks real memory rather than a
-/// pointer-chasing estimate. That number must include every derived
-/// sidecar the artifact carries (bitpacked postings, quantization
-/// codes): a disk tier that round-trips an artifact is expected to
-/// reproduce the same `bytes()` (see `ArtifactCodec::exact_heap_parity`
-/// in `er-store`), so eviction decisions do not depend on whether an
+/// pointer-chasing estimate. That number must cover everything the
+/// artifact keeps resident: a disk tier that round-trips an artifact
+/// must reproduce the same `bytes()` (`er-store` rejects a file whose
+/// decode does not), so eviction decisions do not depend on whether an
 /// artifact was freshly prepared or reloaded from disk.
 #[derive(Default)]
 pub struct ArtifactCache {

@@ -8,7 +8,6 @@
 
 use crate::artifact::DenseIndexArtifact;
 use crate::embed::EmbeddingConfig;
-use crate::quant::{QuantQuery, QuantizedVectors};
 use crate::vector::FlatVectors;
 use er_core::filter::{Filter, FilterOutput, Prepared};
 use er_core::parallel::{self, Threads};
@@ -52,64 +51,16 @@ impl PartialOrd for HeapItem {
 }
 
 /// An exact (brute-force) vector index over contiguous row-major storage.
-///
-/// Alongside the f32 rows the index keeps a u8 scalar-quantized sidecar
-/// ([`QuantizedVectors`]) when the data permits one *and* the collection
-/// is at least [`QUANT_CUTOVER_ROWS`] rows. Scans use it as a *first pass
-/// only*: a row whose conservative cost lower bound already exceeds the
-/// current k-th best is skipped, every surviving row is rescored with the
-/// exact f32 kernel — so results are bit-identical to the unquantized
-/// scan (see [`FlatIndex::build_unquantized`] and the proptests).
-///
-/// Below the cutover the sidecar is skipped entirely: on tiny
-/// collections the bound computation costs more than the exact kernel it
-/// tries to avoid (the kernel benchmark measured ~0.36× at smoke scale),
-/// and the pruning it buys needs a deep scan to amortize. Quantization
-/// is a pure function of the rows, so the cutover decision is too — the
-/// store round-trip rebuilds the identical configuration
-/// ([`FlatIndex::from_parts`]).
 #[derive(Debug, Clone)]
 pub struct FlatIndex {
     vectors: FlatVectors,
     metric: Metric,
-    quant: Option<QuantizedVectors>,
 }
 
-/// Row count below which [`FlatIndex::build`] skips the quantized scan
-/// sidecar (see the struct docs for why small scans lose with it).
-pub const QUANT_CUTOVER_ROWS: usize = 4096;
-
 impl FlatIndex {
-    /// Builds the index by packing the vectors into contiguous storage,
-    /// plus the quantized scan sidecar when all values are finite and the
-    /// collection clears [`QUANT_CUTOVER_ROWS`].
+    /// Builds the index by packing the vectors into contiguous storage.
     pub fn build(vectors: Vec<Vec<f32>>, metric: Metric) -> Self {
         Self::from_parts(FlatVectors::from_rows(&vectors), metric)
-    }
-
-    /// [`FlatIndex::build`] without the quantized sidecar: the always-
-    /// exact reference configuration the quantized scan is tested
-    /// against.
-    pub fn build_unquantized(vectors: Vec<Vec<f32>>, metric: Metric) -> Self {
-        Self {
-            vectors: FlatVectors::from_rows(&vectors),
-            metric,
-            quant: None,
-        }
-    }
-
-    /// [`FlatIndex::build`] with the quantized sidecar forced on
-    /// regardless of [`QUANT_CUTOVER_ROWS`] (still `None` for non-finite
-    /// data). Tests and the kernel benchmark use this to exercise the
-    /// pruned-scan path on collections the cutover would keep exact.
-    pub fn build_quantized(vectors: Vec<Vec<f32>>, metric: Metric) -> Self {
-        let vectors = FlatVectors::from_rows(&vectors);
-        let quant = QuantizedVectors::build(&vectors);
-        Self {
-            vectors,
-            metric,
-            quant,
-        }
     }
 
     /// Number of indexed vectors.
@@ -122,34 +73,19 @@ impl FlatIndex {
         self.vectors.is_empty()
     }
 
-    /// Exact heap footprint of the stored vectors plus the quantized
-    /// sidecar, for cache accounting.
+    /// Exact heap footprint of the stored vectors, for cache accounting.
     pub fn heap_bytes(&self) -> usize {
-        self.vectors.heap_bytes() + self.quant.as_ref().map_or(0, QuantizedVectors::heap_bytes)
+        self.vectors.heap_bytes()
     }
 
-    /// Storage and metric, for serialization. The quantized sidecar is
-    /// *not* serialized: quantization is deterministic, so decode rebuilds
-    /// an identical sidecar from the f32 rows.
+    /// Storage and metric, for serialization.
     pub(crate) fn raw_parts(&self) -> (&FlatVectors, Metric) {
         (&self.vectors, self.metric)
     }
 
-    /// Rebuilds the index from already-packed storage, re-deriving the
-    /// quantized sidecar under the same [`QUANT_CUTOVER_ROWS`] gate as
-    /// [`FlatIndex::build`] — so a store round-trip reproduces the
-    /// identical configuration (and heap accounting).
+    /// Wraps already-contiguous storage (the store decode path).
     pub(crate) fn from_parts(vectors: FlatVectors, metric: Metric) -> Self {
-        let quant = if vectors.len() >= QUANT_CUTOVER_ROWS {
-            QuantizedVectors::build(&vectors)
-        } else {
-            None
-        };
-        Self {
-            vectors,
-            metric,
-            quant,
-        }
+        Self { vectors, metric }
     }
 
     /// Cost of a candidate under the metric: lower is better.
@@ -169,48 +105,18 @@ impl FlatIndex {
     }
 
     /// [`FlatIndex::knn`] reusing a caller-provided [`KnnScratch`], so a
-    /// query loop allocates one bounded heap (and one quantized-query
-    /// buffer) for its whole lifetime instead of one per query.
-    ///
-    /// Rows feed the selection heap in ascending id order. With a
-    /// quantized sidecar present, a full heap lets the scan skip any row
-    /// whose conservative lower bound is strictly worse than the current
-    /// k-th best — [`QuantizedVectors::lower_bound`] guarantees the exact
-    /// kernel cost would have been strictly rejected by
-    /// [`KnnScratch::consider`] too (`cost < worst` and the
-    /// `cost == worst && id < worst_id` tie arm both fail), so the heap
-    /// evolves identically to an exact scan and the result is bitwise the
-    /// same.
+    /// query loop allocates one bounded heap for its whole lifetime
+    /// instead of one per query. Rows feed the selection heap in
+    /// ascending id order.
     pub fn knn_scratch(
         &self,
         query: &[f32],
         k: usize,
         scratch: &mut KnnScratch,
     ) -> Vec<(u32, f32)> {
-        if k == 0 {
-            return Vec::new();
-        }
-        scratch.begin(k);
-        let n = self.vectors.len();
-        let mut qq = std::mem::take(&mut scratch.qq);
-        let quant = self
-            .quant
-            .as_ref()
-            .filter(|qv| n > k && qv.quantize_query(query, &mut qq));
-        for id in 0..n as u32 {
-            if let Some(qv) = quant {
-                if scratch.len() == k {
-                    if let Some(worst) = scratch.worst_cost() {
-                        if qv.lower_bound(&qq, id as usize, self.metric) > f64::from(worst) {
-                            continue;
-                        }
-                    }
-                }
-            }
-            scratch.consider(k, id, self.cost(query, id));
-        }
-        scratch.qq = qq;
-        scratch.take_sorted()
+        knn_over_scratch(scratch, k, 0..self.vectors.len() as u32, |id| {
+            self.cost(query, id)
+        })
     }
 
     /// Batch kNN fan-out over the global [`Threads`] worker count: one
@@ -350,33 +256,18 @@ impl Filter for FlatRange {
 
 /// Reusable scratch for repeated bounded top-k selections.
 ///
-/// Holds the selection heap (and the quantized-query buffer of the
-/// pruned flat scan) so a query loop pays for its allocations once
+/// Holds the selection heap so a query loop pays for its allocation once
 /// instead of once per query; [`FlatIndex::knn_batch_with`] keeps one per
 /// worker chunk. The [`KnnScratch::consider`]/[`KnnScratch::take_sorted`]
-/// protocol is the single implementation of the bounded-heap selection:
-/// the quant-pruned flat scan and the generic id-stream path share it, so
-/// they cannot diverge on replace/tie decisions.
+/// protocol is the single implementation of the bounded-heap selection
+/// the flat scan and the partitioned index share, so they cannot diverge
+/// on replace/tie decisions.
 #[derive(Default)]
 pub struct KnnScratch {
     heap: BinaryHeap<HeapItem>,
-    /// Reused quantized-query buffer of the pruned flat scan.
-    qq: QuantQuery,
 }
 
 impl KnnScratch {
-    /// Number of entries currently kept.
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Cost of the current worst kept entry, if any.
-    #[inline]
-    pub(crate) fn worst_cost(&self) -> Option<f32> {
-        self.heap.peek().map(|h| h.cost)
-    }
-
     /// Resets the scratch for a selection of up to `k` entries.
     pub(crate) fn begin(&mut self, k: usize) {
         self.heap.clear();
@@ -724,33 +615,30 @@ mod tests {
         }
     }
 
-    #[test]
-    fn quantized_scan_matches_row_at_a_time() {
-        // The quant-pruned scan must agree bitwise with the generic
-        // exact per-row selection path and with an unquantized index.
-        let mut state = 0xDEADBEEFu64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 40) as f32 / 1000.0
-        };
-        let base: Vec<Vec<f32>> = (0..37).map(|_| (0..9).map(|_| next()).collect()).collect();
-        let queries: Vec<Vec<f32>> = (0..5).map(|_| (0..9).map(|_| next()).collect()).collect();
+    /// The oracle of the scan tests: every row's `cost()`, fully sorted
+    /// by `(cost, id)`, cut at `k`.
+    fn sorted_costs(idx: &FlatIndex, q: &[f32], k: usize) -> Vec<(u32, f32)> {
+        let mut all: Vec<(u32, f32)> = (0..idx.len() as u32)
+            .map(|id| (id, idx.cost(q, id)))
+            .collect();
+        all.sort_by(|a, b| {
+            let by_cost = a.1.partial_cmp(&b.1).expect("finite costs");
+            by_cost.then(a.0.cmp(&b.0))
+        });
+        all.truncate(k);
+        all
+    }
+
+    fn assert_scan_matches_sorted_costs(base: &[Vec<f32>], queries: &[Vec<f32>], ks: &[usize]) {
         for metric in [Metric::L2Sq, Metric::Dot] {
-            // Forced constructor: 37 rows sit below QUANT_CUTOVER_ROWS,
-            // and this test exists to exercise the pruned path.
-            let idx = FlatIndex::build_quantized(base.clone(), metric);
-            assert!(idx.quant.is_some(), "finite data must quantize");
-            let exact = FlatIndex::build_unquantized(base.clone(), metric);
-            assert!(exact.quant.is_none());
-            for q in &queries {
-                for k in [1usize, 4, 11, 36, 37, 50] {
-                    let per_row = knn_over(q, k, 0..idx.len() as u32, |id| idx.cost(q, id));
-                    let got = idx.knn(q, k);
-                    assert_eq!(got, per_row, "{metric:?} k={k}");
-                    assert_eq!(got, exact.knn(q, k), "{metric:?} k={k} unquantized");
-                    for (a, b) in got.iter().zip(&per_row) {
+            let idx = FlatIndex::build(base.to_vec(), metric);
+            for &k in ks {
+                let want: Vec<Vec<(u32, f32)>> =
+                    queries.iter().map(|q| sorted_costs(&idx, q, k)).collect();
+                for threads in [1, 8] {
+                    let got = idx.knn_batch_with(threads, queries, k);
+                    assert_eq!(got, want, "{metric:?} k={k} threads={threads}");
+                    for (a, b) in got.iter().flatten().zip(want.iter().flatten()) {
                         assert_eq!(a.1.to_bits(), b.1.to_bits(), "{metric:?} k={k}");
                     }
                 }
@@ -759,43 +647,38 @@ mod tests {
     }
 
     #[test]
-    fn quantized_scan_handles_duplicate_rows_and_ties() {
-        // Many identical rows: every cost ties, so pruning must not skip
-        // a row the exact tie-break (smaller id wins) would have rejected
-        // anyway — and the kept ids must be the smallest ones.
-        let base = vec![vec![0.5f32, -0.25, 0.125]; 20];
-        for metric in [Metric::L2Sq, Metric::Dot] {
-            let idx = FlatIndex::build_quantized(base.clone(), metric);
-            let exact = FlatIndex::build_unquantized(base.clone(), metric);
-            let q = vec![0.5f32, -0.25, 0.125];
-            for k in [1usize, 5, 19] {
-                let got = idx.knn(&q, k);
-                assert_eq!(got, exact.knn(&q, k), "{metric:?} k={k}");
-                assert_eq!(
-                    got.iter().map(|x| x.0).collect::<Vec<_>>(),
-                    (0..k as u32).collect::<Vec<_>>(),
-                    "{metric:?} k={k}"
-                );
-            }
-        }
+    fn scan_matches_sorted_row_at_a_time_costs() {
+        let mut state = 0xDEADBEEFu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 40) as f32 / 1000.0
+        };
+        let mut rows = |n: usize, dim: usize| -> Vec<Vec<f32>> {
+            (0..n).map(|_| (0..dim).map(|_| next()).collect()).collect()
+        };
+        // k on both sides of the row count.
+        let (base, queries) = (rows(37, 9), rows(5, 9));
+        assert_scan_matches_sorted_costs(&base, &queries, &[1, 4, 11, 36, 37, 50]);
+        // A collection deep enough that the heap is full for almost the
+        // whole scan.
+        let (base, queries) = (rows(5_000, 16), rows(4, 16));
+        assert_scan_matches_sorted_costs(&base, &queries, &[1, 5, 10]);
     }
 
     #[test]
-    fn quant_cutover_gates_the_sidecar_by_row_count() {
-        let small = vec![vec![0.5f32, -0.25]; 20];
-        let idx = FlatIndex::build(small.clone(), Metric::L2Sq);
-        assert!(
-            idx.quant.is_none(),
-            "below QUANT_CUTOVER_ROWS the exact scan must run bare"
+    fn scan_handles_duplicate_rows_and_ties() {
+        // Many identical rows: every cost ties, so the kept ids must be
+        // the smallest ones.
+        let base = vec![vec![0.5f32, -0.25, 0.125]; 20];
+        let q = vec![vec![0.5f32, -0.25, 0.125]];
+        assert_scan_matches_sorted_costs(&base, &q, &[1, 5, 19]);
+        let idx = FlatIndex::build(base, Metric::L2Sq);
+        assert_eq!(
+            idx.knn(&q[0], 5).iter().map(|x| x.0).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3, 4]
         );
-        let forced = FlatIndex::build_quantized(small, Metric::L2Sq);
-        assert!(forced.quant.is_some(), "forced constructor ignores cutover");
-
-        let big: Vec<Vec<f32>> = (0..QUANT_CUTOVER_ROWS)
-            .map(|i| vec![i as f32, -(i as f32)])
-            .collect();
-        let idx = FlatIndex::build(big, Metric::L2Sq);
-        assert!(idx.quant.is_some(), "at the cutover the sidecar comes back");
     }
 
     #[test]

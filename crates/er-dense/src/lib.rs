@@ -10,8 +10,6 @@
 //! * [`vector`] — dispatched dot/L2² kernels (blocked scalar reference,
 //!   AVX2/NEON under the `simd` feature) and the contiguous
 //!   [`FlatVectors`] row store,
-//! * [`quant`] — u8 scalar quantization with conservative cost bounds
-//!   for the exact-rescore flat scan,
 //! * [`embed`] — the hashed subword embedder ("average tuple embedding"),
 //! * [`flat`] — exact brute-force kNN, the FAISS-Flat equivalent,
 //! * [`pq`] — product quantization (asymmetric-hashing scoring),
@@ -33,7 +31,6 @@ pub mod hyperplane;
 pub mod minhash;
 pub mod partitioned;
 pub mod pq;
-pub mod quant;
 mod simd;
 pub mod store;
 pub mod vector;
@@ -42,17 +39,15 @@ pub use artifact::DenseIndexArtifact;
 pub use crosspolytope::CrossPolytopeLsh;
 pub use deepblocker::{DeepBlocker, DeepBlockerConfig};
 pub use embed::{EmbeddingConfig, HashEmbedder};
-pub use flat::{FlatIndex, FlatKnn, FlatRange, KnnScratch, Metric, QUANT_CUTOVER_ROWS};
+pub use flat::{FlatIndex, FlatKnn, FlatRange, KnnScratch, Metric};
 pub use grid::{ddb_baseline, DenseMethod};
 pub use hnsw::{HnswIndex, HnswKnn};
 pub use hyperplane::HyperplaneLsh;
 pub use minhash::MinHashLsh;
 pub use partitioned::{assign, kmeans, PartitionedArtifact, PartitionedKnn, Scoring};
 pub use pq::ProductQuantizer;
-pub use quant::QuantizedVectors;
 pub use store::{
-    CrossPolytopeCodec, DenseFlatCodec, DenseFlatQCodec, HyperplaneCodec, MinHashCodec,
-    PartitionedCodec,
+    CrossPolytopeCodec, DenseFlatQCodec, HyperplaneCodec, MinHashCodec, PartitionedCodec,
 };
 pub use vector::{
     cosine, dot, dot_blocked, dot_scalar, l2_sq, l2_sq_blocked, l2_sq_scalar, normalize,

@@ -99,36 +99,6 @@ proptest! {
         }
     }
 
-    /// The quantize-then-rescore scan returns *bit-identical* results to
-    /// the always-exact unquantized index, for both metrics, serially and
-    /// through the parallel batch fan-out.
-    #[test]
-    fn quantized_rescore_matches_exact_scan(
-        data in proptest::collection::vec(arb_vec(6), 1..40),
-        queries in proptest::collection::vec(arb_vec(6), 1..8),
-        k in 1usize..10,
-    ) {
-        for metric in [Metric::L2Sq, Metric::Dot] {
-            let quantized = FlatIndex::build_quantized(data.clone(), metric);
-            let exact = FlatIndex::build_unquantized(data.clone(), metric);
-            for threads in [1usize, 8] {
-                let a = quantized.knn_batch_with(threads, &queries, k);
-                let b = exact.knn_batch_with(threads, &queries, k);
-                prop_assert_eq!(a.len(), b.len());
-                for (qa, qb) in a.iter().zip(&b) {
-                    prop_assert_eq!(qa.len(), qb.len());
-                    for (x, y) in qa.iter().zip(qb) {
-                        prop_assert_eq!(x.0, y.0, "{:?} threads={}", metric, threads);
-                        prop_assert_eq!(
-                            x.1.to_bits(), y.1.to_bits(),
-                            "{:?} threads={}", metric, threads
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     /// Embeddings are deterministic unit vectors; permutation of tokens
     /// leaves the embedding unchanged (mean aggregation).
     #[test]

@@ -6,13 +6,9 @@
 //! cross-polytope rotations plus their hash tables) and the SCANN-style
 //! partitioned index with its optional product quantizer.
 //!
-//! Flat-index files exist in two generations. [`DenseFlatCodec`] (id 3)
-//! predates the quantized scan sidecar: it is decode-only and opts out of
-//! exact heap parity, because its headers record the footprint without
-//! the sidecar that [`FlatIndex::from_parts`] now rebuilds. New files are
-//! written by [`DenseFlatQCodec`] (id 9) with the *same section layout* —
-//! the sidecar is never serialized since quantization is deterministic,
-//! so decode re-derives an identical one and exact parity holds.
+//! Flat-index files are written by [`DenseFlatQCodec`] (id 9). Id 3 (the
+//! same sections under an older header contract) is retired and stays
+//! reserved.
 //!
 //! Common building blocks: [`FlatVectors`] serializes as `(rows, dim)`
 //! scalars plus one `f32` section; ragged `Vec<Vec<f32>>` collections as
@@ -35,14 +31,12 @@ use crate::partitioned::{PartitionedArtifact, PartitionedIndex, Scoring};
 use crate::pq::ProductQuantizer;
 use crate::vector::FlatVectors;
 use er_core::hash::FastMap;
-use er_store::{ArtifactCodec, SectionCursor, SectionRatio, Sections, StoreError, StoreFile};
+use er_store::{ArtifactCodec, SectionCursor, Sections, StoreError, StoreFile};
 use std::any::Any;
 use std::hash::Hash;
 use std::sync::Arc;
 
-/// Codec id of legacy (pre-quantization) embed+flat-index files.
-pub const DENSE_FLAT_CODEC_ID: u32 = 3;
-/// Codec id stamped into new embed+flat-index artifact files.
+/// Codec id stamped into embed+flat-index artifact files.
 pub const DENSE_FLAT_Q_CODEC_ID: u32 = 9;
 /// Codec id stamped into MinHash artifact files.
 pub const MINHASH_CODEC_ID: u32 = 4;
@@ -222,55 +216,9 @@ fn read_buckets<K: BucketKey>(
     Ok(out)
 }
 
-/// Shared decode of both flat-index generations (identical sections).
-fn decode_flat(file: &StoreFile) -> er_store::Result<(Arc<dyn Any + Send + Sync>, usize)> {
-    let mut cur = file.cursor()?;
-    let metric = metric_from(cur.scalar()?)?;
-    let vectors = read_vectors("index vectors", &mut cur)?;
-    let queries = read_vecs("queries", &mut cur)?;
-    cur.finish()?;
-    if !vectors.is_empty() {
-        check_dims("queries", &queries, vectors.dim())?;
-    }
-    let index = FlatIndex::from_parts(vectors, metric);
-    let heap_bytes = index.heap_bytes() + vecs_bytes(&queries);
-    Ok((Arc::new(DenseIndexArtifact { index, queries }), heap_bytes))
-}
-
-/// Decodes legacy (pre-quantization) [`DenseIndexArtifact`] files. New
-/// files are written by [`DenseFlatQCodec`].
-pub struct DenseFlatCodec;
-
-impl ArtifactCodec for DenseFlatCodec {
-    fn id(&self) -> u32 {
-        DENSE_FLAT_CODEC_ID
-    }
-
-    fn name(&self) -> &'static str {
-        "dense-flat"
-    }
-
-    /// Legacy layout: decode-only.
-    fn encode(&self, _artifact: &(dyn Any + Send + Sync)) -> Option<Sections> {
-        None
-    }
-
-    /// Legacy headers recorded `heap_bytes` without the quantized scan
-    /// sidecar that decode now rebuilds.
-    fn exact_heap_parity(&self) -> bool {
-        false
-    }
-
-    fn decode(&self, file: &StoreFile) -> er_store::Result<(Arc<dyn Any + Send + Sync>, usize)> {
-        decode_flat(file)
-    }
-}
-
 /// (De)serializes [`DenseIndexArtifact`] (FAISS-Flat, range, DeepBlocker).
-///
-/// Same sections as the legacy [`DenseFlatCodec`]; only the u8 scan
-/// sidecar semantics differ, and that is rebuilt — not stored — so the
-/// header's `heap_bytes` matches decode exactly.
+/// The `q` in the name printed by `er store inspect` is historical: the
+/// sections are the f32 rows and nothing else.
 pub struct DenseFlatQCodec;
 
 impl ArtifactCodec for DenseFlatQCodec {
@@ -293,22 +241,17 @@ impl ArtifactCodec for DenseFlatQCodec {
     }
 
     fn decode(&self, file: &StoreFile) -> er_store::Result<(Arc<dyn Any + Send + Sync>, usize)> {
-        decode_flat(file)
-    }
-
-    /// Reports the derived quantization sidecar: encoded bytes are the
-    /// serialized f32 rows, decoded bytes add the rebuilt u8 sidecar.
-    fn section_ratios(&self, file: &StoreFile) -> er_store::Result<Vec<SectionRatio>> {
         let mut cur = file.cursor()?;
         let metric = metric_from(cur.scalar()?)?;
         let vectors = read_vectors("index vectors", &mut cur)?;
-        let encoded = vectors.heap_bytes() as u64;
+        let queries = read_vecs("queries", &mut cur)?;
+        cur.finish()?;
+        if !vectors.is_empty() {
+            check_dims("queries", &queries, vectors.dim())?;
+        }
         let index = FlatIndex::from_parts(vectors, metric);
-        Ok(vec![SectionRatio {
-            label: "index".to_owned(),
-            encoded_bytes: encoded,
-            decoded_bytes: index.heap_bytes() as u64,
-        }])
+        let heap_bytes = index.heap_bytes() + vecs_bytes(&queries);
+        Ok((Arc::new(DenseIndexArtifact { index, queries }), heap_bytes))
     }
 }
 
@@ -703,7 +646,6 @@ mod tests {
         let store = ArtifactStore::open(
             &dir,
             vec![
-                Box::new(DenseFlatCodec),
                 Box::new(DenseFlatQCodec),
                 Box::new(MinHashCodec),
                 Box::new(HyperplaneCodec),
@@ -772,7 +714,7 @@ mod tests {
     }
 
     #[test]
-    fn new_flat_files_use_the_quantized_codec() {
+    fn flat_files_carry_codec_id_9() {
         let (store, dir) = store_in("flatq");
         let f = FlatKnn {
             cleaning: false,
@@ -787,14 +729,6 @@ mod tests {
         let info = infos[0].1.as_ref().expect("readable file");
         assert_eq!(info.codec_id, DENSE_FLAT_Q_CODEC_ID);
         assert_eq!(info.codec_name, Some("dense-flat-q"));
-        // The compression report shows the rebuilt sidecar's overhead:
-        // decoded (f32 rows + u8 sidecar) ≥ encoded (f32 rows only). This
-        // tiny collection sits below QUANT_CUTOVER_ROWS, so the decode
-        // gate skips the sidecar and the two figures are equal.
-        let ratios = &info.section_ratios;
-        assert_eq!(ratios.len(), 1);
-        assert_eq!(ratios[0].label, "index");
-        assert!(ratios[0].decoded_bytes >= ratios[0].encoded_bytes);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

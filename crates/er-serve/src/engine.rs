@@ -216,6 +216,32 @@ impl Engine {
         SegmentedTokenSets::from_parts(manifest, segments).map(Some)
     }
 
+    /// Loads the monolithic sweep artifact for `key` through `cache`.
+    fn load_monolith(
+        cache: &ArtifactCache,
+        key: &ArtifactKey,
+        store_dir: &Path,
+    ) -> Result<Arc<TokenSetsArtifact>, String> {
+        let prepared = match cache.lookup(key) {
+            Some(Ok(prepared)) => prepared,
+            Some(Err(msg)) => return Err(format!("artifact {} unusable: {msg}", key.repr)),
+            None => {
+                return Err(format!(
+                    "artifact {} for dataset {:016x} not found in {} — build it first with \
+                     `er sweep --store-dir {}`",
+                    key.repr,
+                    key.dataset,
+                    store_dir.display(),
+                    store_dir.display(),
+                ))
+            }
+        };
+        prepared
+            .arc()
+            .downcast::<TokenSetsArtifact>()
+            .map_err(|_| format!("artifact {} decoded to a foreign type", key.repr))
+    }
+
     /// Loads the index for `method` over `view` from `store_dir`,
     /// read-only, split across `shards` (≤ 1 means monolithic): the
     /// per-shard segment manifests when persisted, the monolithic sweep
@@ -256,38 +282,30 @@ impl Engine {
                 key.repr,
             ));
         }
+        let monolith = if restored || plan.n() > 1 {
+            None
+        } else {
+            Some(Self::load_monolith(&cache, &key, store_dir)?)
+        };
+        // Every store read is done. Release the cache before wrapping: it
+        // keeps a second `Arc` to whatever it served, and `from_artifact`
+        // adopts the artifact in place only as its sole owner.
+        let startup = cache.stats();
+        drop(cache);
         let (model, cleaner) = method.tokenizer();
         let (idx, cold_split) = if restored {
             (
                 ShardedIndex::from_shards(key.repr.clone(), plan, restored_shards)?,
                 false,
             )
-        } else if plan.n() == 1 {
-            let prepared = match cache.lookup(&key) {
-                Some(Ok(prepared)) => prepared,
-                Some(Err(msg)) => return Err(format!("artifact {} unusable: {msg}", key.repr)),
-                None => {
-                    return Err(format!(
-                        "artifact {} for dataset {:016x} not found in {} — build it first with \
-                         `er sweep --store-dir {}`",
-                        key.repr,
-                        key.dataset,
-                        store_dir.display(),
-                        store_dir.display(),
-                    ))
-                }
-            };
-            let art = prepared
-                .arc()
-                .downcast::<TokenSetsArtifact>()
-                .map_err(|_| format!("artifact {} decoded to a foreign type", key.repr))?;
+        } else if let Some(art) = monolith {
             // The raw query-side token sets back the delta probes;
             // re-tokenizing the view with the artifact's own model is
             // deterministic, so the merged results stay bitwise equal
             // to the monolithic path.
             let query_raw: Vec<Vec<u64>> =
                 parallel::par_map(method.query_texts(view), |t| model.token_set(t, &cleaner));
-            drop(prepared);
+            debug_assert_eq!(Arc::strong_count(&art), 1, "boot must adopt, not clone");
             let seg = SegmentedTokenSets::from_artifact(key.repr.clone(), art, query_raw);
             (
                 ShardedIndex::from_shards(key.repr.clone(), plan, vec![seg])?,
@@ -313,10 +331,6 @@ impl Engine {
                 true,
             )
         };
-        let startup = cache.stats();
-        // Release the cache before wrapping: `from_artifact` above sees
-        // the sole remaining Arc and reuses the structures in place.
-        drop(cache);
         let rows = idx.query_rows();
         let resident_bytes = idx.heap_bytes();
         Ok(Engine {

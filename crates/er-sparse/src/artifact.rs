@@ -156,12 +156,12 @@ mod tests {
         let art = prepared.downcast::<TokenSetsArtifact>();
         // "alpha" occurs on both sides, so the query row holds exactly the
         // id the index assigned to it.
-        assert_eq!(art.query_sets.row_vec(0).len(), 1);
+        assert_eq!(art.query_sets.row(0).len(), 1);
         assert_eq!(art.query_sets.set_size(0), 1);
         let mut all_index_ids: Vec<u32> = (0..art.index_sets.len())
-            .flat_map(|i| art.index_sets.row_vec(i))
+            .flat_map(|i| art.index_sets.row(i).iter().copied())
             .collect();
         all_index_ids.sort_unstable();
-        assert!(all_index_ids.contains(&art.query_sets.row_vec(0)[0]));
+        assert!(all_index_ids.contains(&art.query_sets.row(0)[0]));
     }
 }

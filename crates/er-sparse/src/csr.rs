@@ -8,20 +8,18 @@
 //! * [`TokenInterner`] maps each distinct 64-bit token hash to a dense
 //!   `u32` id in first-encounter order. Tokenization output order is
 //!   deterministic, so the id assignment is too.
-//! * [`CsrTokenSets`] stores all token-id rows back to back as
-//!   delta-encoded, bitpacked [`PackedRows`] — exact byte accounting at a
-//!   fraction of the plain-CSR footprint. Rows are unpacked on demand
-//!   into a caller-owned scratch buffer ([`CsrTokenSets::row_into`]);
-//!   query loops reuse one buffer for a whole batch.
+//! * [`CsrTokenSets`] stores all token-id rows back to back as plain CSR
+//!   (`CsrRows`: `u32` offsets + flat `u32` values), so a row is a
+//!   slice — no decode step, no scratch buffer. The posting lists of
+//!   [`crate::scancount::ScanCountIndex`] use the same layout. Bitpacking
+//!   ([`crate::packed`]) is the on-disk encoding only.
 //!
 //! CSR invariants (upheld by the builders in [`crate::scancount`], relied
 //! upon by every query path): row boundaries start at 0 and are
 //! non-decreasing; each row holds the interned ids of a duplicate-free
 //! token set in tokenization order (interned ids are assigned globally by
-//! first encounter, so a row is *not* necessarily ascending — the zigzag
-//! delta coding in [`PackedRows`] is order-agnostic).
+//! first encounter, so a row is *not* necessarily ascending).
 
-use crate::packed::PackedRows;
 use er_core::hash::FastMap;
 
 /// Interns 64-bit token hashes to dense `u32` ids (first encounter wins).
@@ -85,11 +83,56 @@ impl TokenInterner {
     }
 }
 
-/// Token-id sets of one entity collection, bitpacked (see module docs).
+/// Plain CSR rows: row `i` is `values[offsets[i]..offsets[i + 1]]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct CsrRows {
+    offsets: Vec<u32>,
+    values: Vec<u32>,
+}
+
+impl Default for CsrRows {
+    fn default() -> Self {
+        Self::new(vec![0], Vec::new())
+    }
+}
+
+impl CsrRows {
+    /// Wraps CSR parts; `debug_assert`s the boundary invariants (the
+    /// store codec has checked them on anything read from disk).
+    pub(crate) fn new(offsets: Vec<u32>, values: Vec<u32>) -> Self {
+        debug_assert_eq!(offsets.first().copied(), Some(0));
+        debug_assert_eq!(offsets.last().copied(), Some(values.len() as u32));
+        debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
+        Self { offsets, values }
+    }
+
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Row `i`.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> &[u32] {
+        &self.values[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Exact heap payload in bytes: two `u32` arrays.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        (self.offsets.len() + self.values.len()) * 4
+    }
+
+    /// `(offsets, values)`, for the persistent store's serializer.
+    pub(crate) fn parts(&self) -> (&[u32], &[u32]) {
+        (&self.offsets, &self.values)
+    }
+}
+
+/// Token-id sets of one entity collection (see module docs).
 #[derive(Debug, Clone, Default)]
 pub struct CsrTokenSets {
-    /// Bitpacked rows of interned token ids.
-    rows: PackedRows,
+    /// Rows of interned token ids.
+    rows: CsrRows,
     /// Original token-set cardinality per row. Query-side rows drop
     /// tokens unknown to the index (they cannot match anything), so a
     /// row may be shorter than `set_size(i)`; similarity formulas must
@@ -98,18 +141,8 @@ pub struct CsrTokenSets {
 }
 
 impl CsrTokenSets {
-    /// Packs plain CSR parts; `debug_assert`s the boundary invariants.
-    pub(crate) fn from_parts(offsets: Vec<u32>, tokens: Vec<u32>, set_sizes: Vec<u32>) -> Self {
-        debug_assert_eq!(offsets.len(), set_sizes.len() + 1);
-        Self {
-            rows: PackedRows::from_rows(offsets, &tokens),
-            set_sizes,
-        }
-    }
-
-    /// Wraps already-packed rows (the persistent store's decode path; the
-    /// codec has validated the packed invariants and the id range).
-    pub(crate) fn from_packed(rows: PackedRows, set_sizes: Vec<u32>) -> Self {
+    /// Wraps CSR rows and their cardinalities (one per row).
+    pub(crate) fn new(rows: CsrRows, set_sizes: Vec<u32>) -> Self {
         debug_assert_eq!(rows.len(), set_sizes.len());
         Self { rows, set_sizes }
     }
@@ -124,17 +157,10 @@ impl CsrTokenSets {
         self.set_sizes.is_empty()
     }
 
-    /// Unpacks row `i`'s interned token ids into `buf` and returns them.
+    /// Row `i`'s interned token ids.
     #[inline]
-    pub fn row_into<'a>(&'a self, i: usize, buf: &'a mut Vec<u32>) -> &'a [u32] {
-        self.rows.decode_row_into(i, buf)
-    }
-
-    /// Row `i` as a fresh allocation — convenience for tests and cold
-    /// paths; hot loops should reuse a buffer via [`CsrTokenSets::row_into`].
-    pub fn row_vec(&self, i: usize) -> Vec<u32> {
-        let mut buf = Vec::new();
-        self.rows.decode_row_into(i, &mut buf).to_vec()
+    pub fn row(&self, i: usize) -> &[u32] {
+        self.rows.row(i)
     }
 
     /// The original token-set cardinality of row `i` (see field docs).
@@ -150,14 +176,13 @@ impl CsrTokenSets {
         &self.set_sizes
     }
 
-    /// Exact heap payload in bytes: the packed rows plus one `u32` array.
+    /// Exact heap payload in bytes: the CSR rows plus one `u32` array.
     pub fn heap_bytes(&self) -> usize {
         self.rows.heap_bytes() + self.set_sizes.len() * 4
     }
 
-    /// The packed row storage, for the persistent store's serializer and
-    /// compression-ratio reporting.
-    pub(crate) fn packed(&self) -> &PackedRows {
+    /// The row storage, for the persistent store's serializer.
+    pub(crate) fn rows(&self) -> &CsrRows {
         &self.rows
     }
 }
@@ -181,16 +206,15 @@ mod tests {
 
     #[test]
     fn csr_rows_round_trip() {
-        let sets = CsrTokenSets::from_parts(vec![0, 2, 2, 5], vec![3, 9, 1, 4, 8], vec![2, 0, 3]);
+        let rows = CsrRows::new(vec![0, 2, 2, 5], vec![3, 9, 1, 4, 8]);
+        let sets = CsrTokenSets::new(rows, vec![2, 0, 3]);
         assert_eq!(sets.len(), 3);
-        assert_eq!(sets.row_vec(0), &[3, 9]);
-        assert_eq!(sets.row_vec(1), &[] as &[u32]);
-        assert_eq!(sets.row_vec(2), &[1, 4, 8]);
+        assert_eq!(sets.row(0), &[3, 9]);
+        assert_eq!(sets.row(1), &[] as &[u32]);
+        assert_eq!(sets.row(2), &[1, 4, 8]);
         assert_eq!(sets.set_size(2), 3);
         assert_eq!(sets.set_sizes(), &[2, 0, 3]);
-        let mut buf = Vec::new();
-        assert_eq!(sets.row_into(2, &mut buf), &[1, 4, 8]);
-        assert_eq!(sets.row_into(1, &mut buf), &[] as &[u32]);
+        assert_eq!(sets.heap_bytes(), (4 + 5 + 3) * 4);
     }
 
     #[test]
@@ -198,28 +222,26 @@ mod tests {
         // 200 rows of small ascending id runs — the common token-set shape.
         let mut offsets = vec![0u32];
         let mut tokens = Vec::new();
-        let mut sizes = Vec::new();
         for i in 0..200u32 {
             for t in 0..(i % 9) {
                 tokens.push((i + t * 3) % 1500);
             }
             offsets.push(tokens.len() as u32);
-            sizes.push(i % 9);
         }
-        let sets = CsrTokenSets::from_parts(offsets.clone(), tokens.clone(), sizes);
-        let plain = (offsets.len() + tokens.len()) * 4;
+        let packed = crate::packed::PackedRows::from_rows(&offsets, &tokens);
+        let plain = CsrRows::new(offsets, tokens).heap_bytes();
         assert!(
-            sets.heap_bytes() < plain,
+            packed.heap_bytes() < plain,
             "{} vs plain {plain}",
-            sets.heap_bytes()
+            packed.heap_bytes()
         );
     }
 
     #[test]
     fn empty_csr() {
-        let sets = CsrTokenSets::from_parts(vec![0], Vec::new(), Vec::new());
+        let sets = CsrTokenSets::default();
         assert!(sets.is_empty());
         assert_eq!(sets.len(), 0);
-        assert_eq!(sets.heap_bytes(), sets.packed().heap_bytes());
+        assert_eq!(sets.heap_bytes(), 4, "one offsets entry");
     }
 }

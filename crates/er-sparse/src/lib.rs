@@ -9,12 +9,11 @@
 //! * [`similarity`] — Cosine, Dice and Jaccard over set overlaps,
 //! * [`csr`] — the token interner and contiguous CSR token-set layout
 //!   shared by every sparse hot path,
-//! * [`packed`] — delta-encoded, bitpacked CSR rows backing both the
-//!   token sets and the posting lists,
+//! * [`packed`] — delta-encoded, bitpacked CSR rows: the on-disk
+//!   encoding of the token sets and the posting lists,
 //! * [`scancount`] — the ScanCount inverted-list merge-count algorithm
 //!   [Li et al., ICDE 2008], suited to the low thresholds ER needs, over
-//!   packed CSR posting lists (AVX2 merge kernel behind the `simd`
-//!   feature),
+//!   CSR posting lists (AVX2 merge kernel behind the `simd` feature),
 //! * [`reference`] — frozen naive implementations the property tests use
 //!   as an oracle for the optimized layouts,
 //! * [`epsilon`] — the range join (ε-Join),
@@ -62,7 +61,7 @@ pub use segmented::{
 };
 pub use sharded::{ShardedCursor, ShardedIndex};
 pub use similarity::SimilarityMeasure;
-pub use store::{SparseCodec, SparseManifestCodec, SparsePackedCodec, SparseSegmentCodec};
+pub use store::{SparseManifestCodec, SparsePackedCodec, SparseSegmentCodec};
 pub use topk::TopKJoin;
 
 #[cfg(test)]

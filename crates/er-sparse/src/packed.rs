@@ -1,4 +1,9 @@
-//! Delta-encoded, bitpacked CSR rows.
+//! Delta-encoded, bitpacked CSR rows — the on-disk encoding of the sparse
+//! artifacts.
+//!
+//! In memory every index is plain CSR (see [`crate::csr`]); the store
+//! codecs in [`crate::store`] pack at encode time and unpack once at
+//! decode time, so nothing on a query path ever touches packed bits.
 //!
 //! [`PackedRows`] stores the same logical content as a plain CSR pair
 //! (`offsets` + flat `u32` values) at a fraction of the bytes: each row's
@@ -25,34 +30,9 @@
 //!   keeps the per-element extraction branchless. Two words (not one)
 //!   because a zero-width tail block addresses `pos == total_bits`, whose
 //!   word index may already be one past the payload.
-//!
-//! Decoding goes through a caller-owned scratch buffer
-//! ([`PackedRows::decode_row_into`]); the hot paths in
-//! [`crate::scancount`] reuse one buffer across an entire query batch.
-//!
-//! ## Size-aware cutover
-//!
-//! Bitpacking always wins on bytes, but on *tiny* inputs the per-element
-//! unpack arithmetic loses to a plain memcpy by several times (the smoke
-//! benchmarks measured 0.21×). Below [`PLAIN_MIRROR_CUTOVER`] total
-//! elements, both constructors therefore keep a decoded **plain mirror**
-//! of the values alongside the packed bits, and
-//! [`PackedRows::decode_row_into`] serves row slices straight from it —
-//! the packed form remains the canonical (serialized, byte-budgeted)
-//! representation, the mirror is a derived query-path cache bounded by
-//! 4 MiB. Above the cutover the mirror is dropped and the bitpacked
-//! decode runs as before: at that scale the resident-set savings are the
-//! point (they are what the out-of-core sharded sweep banks on) and the
-//! decode cost amortizes over long posting lists.
 
 /// Elements per bitpacking block; one bit width is chosen per block.
 pub const BLOCK: usize = 128;
-
-/// Total-element threshold below which a decoded plain mirror of the
-/// values is kept for the query path (≤ 4 MiB of `u32`s). A pure
-/// function of the packed content, so a store round-trip reproduces the
-/// same choice.
-pub const PLAIN_MIRROR_CUTOVER: usize = 1 << 20;
 
 /// The widest zigzag-mapped `u32`-to-`u32` delta: 33 bits.
 const MAX_WIDTH: u8 = 33;
@@ -70,19 +50,6 @@ pub struct PackedRows {
     block_bits: Vec<u64>,
     /// The packed zigzag deltas plus two sentinel pad words.
     bits: Vec<u64>,
-    /// Decoded values (flat, row-sliced through `offsets`) kept below
-    /// [`PLAIN_MIRROR_CUTOVER`] elements; `None` above it. A pure
-    /// function of the packed content, rebuilt identically by every
-    /// constructor — and excluded from [`PackedRows::heap_bytes`] for
-    /// the same reason segment ownership maps are: the budget figure
-    /// stays a pure function of the persisted state.
-    plain: Option<Vec<u32>>,
-}
-
-impl Default for PackedRows {
-    fn default() -> Self {
-        Self::from_rows(vec![0], &[])
-    }
 }
 
 #[inline]
@@ -99,7 +66,7 @@ impl PackedRows {
     /// Packs plain CSR parts (`offsets` boundaries over flat `values`).
     /// Values may be arbitrary `u32`s — ascending rows pack smallest, but
     /// correctness does not depend on order.
-    pub fn from_rows(offsets: Vec<u32>, values: &[u32]) -> Self {
+    pub fn from_rows(offsets: &[u32], values: &[u32]) -> Self {
         debug_assert!(!offsets.is_empty());
         debug_assert_eq!(offsets.first().copied(), Some(0));
         debug_assert_eq!(offsets.last().copied(), Some(values.len() as u32));
@@ -143,13 +110,11 @@ impl PackedRows {
             }
         }
 
-        let plain = (values.len() < PLAIN_MIRROR_CUTOVER).then(|| values.to_vec());
         Self {
-            offsets,
+            offsets: offsets.to_vec(),
             widths,
             block_bits,
             bits,
-            plain,
         }
     }
 
@@ -184,24 +149,12 @@ impl PackedRows {
         if bits.len() as u64 != total_bits.div_ceil(64) + 2 {
             return Err("packed rows: bit buffer length mismatch".into());
         }
-        let mut this = Self {
+        Ok(Self {
             offsets,
             widths,
             block_bits,
             bits,
-            plain: None,
-        };
-        if elems < PLAIN_MIRROR_CUTOVER {
-            // Same cutover decision as `from_rows`: a store round-trip
-            // reproduces the mirror byte-for-byte.
-            let mut values = Vec::with_capacity(elems);
-            let mut buf = Vec::new();
-            for i in 0..this.len() {
-                values.extend_from_slice(this.unpack_row_into(i, &mut buf));
-            }
-            this.plain = Some(values);
-        }
-        Ok(this)
+        })
     }
 
     /// Number of rows.
@@ -219,27 +172,15 @@ impl PackedRows {
         *self.offsets.last().unwrap() as usize
     }
 
-    /// Element count of row `i`.
-    #[inline]
-    pub fn row_len(&self, i: usize) -> usize {
-        (self.offsets[i + 1] - self.offsets[i]) as usize
-    }
-
-    /// The row boundaries in element space.
-    pub fn offsets(&self) -> &[u32] {
-        &self.offsets
-    }
-
-    /// Exact heap payload in bytes of the packed representation. The
-    /// plain query-path mirror is derived, bounded data and deliberately
-    /// excluded so the figure matches what the store serializes.
+    /// Exact payload in bytes of the packed arrays — what the store
+    /// serializes.
     pub fn heap_bytes(&self) -> usize {
         self.offsets.len() * 4 + self.widths.len() + (self.block_bits.len() + self.bits.len()) * 8
     }
 
     /// Bytes the same content occupies as plain CSR (`u32` offsets +
-    /// `u32` values) — the denominator of the compression ratio reported
-    /// by benchmarks and `er store inspect`.
+    /// `u32` values) — what the decoded rows occupy in memory, and
+    /// the denominator of the ratio `er store inspect` reports.
     pub fn plain_bytes(&self) -> usize {
         (self.offsets.len() + self.elems()) * 4
     }
@@ -249,33 +190,12 @@ impl PackedRows {
         (&self.offsets, &self.widths, &self.block_bits, &self.bits)
     }
 
-    /// True when the plain query-path mirror is resident (below
-    /// [`PLAIN_MIRROR_CUTOVER`] elements).
-    pub fn has_plain_mirror(&self) -> bool {
-        self.plain.is_some()
-    }
-
-    /// Row `i` for the query path: a slice of the plain mirror when it is
-    /// resident (the small-input fast path), otherwise a bitpacked unpack
-    /// through `buf`. Values are identical either way.
+    /// Unpacks row `i` into `buf` (cleared first) and returns it as a
+    /// slice. Branchless per element: a uniform block stride turns
+    /// addressing into arithmetic, and the sentinel pad words make the
+    /// two-word extraction unconditional.
     #[inline]
-    pub fn decode_row_into<'a>(&'a self, i: usize, buf: &'a mut Vec<u32>) -> &'a [u32] {
-        if let Some(plain) = &self.plain {
-            let start = self.offsets[i] as usize;
-            let end = self.offsets[i + 1] as usize;
-            return &plain[start..end];
-        }
-        self.unpack_row_into(i, buf)
-    }
-
-    /// Unpacks row `i` from the packed bits into `buf` (cleared first)
-    /// and returns it as a slice, bypassing the plain mirror — the
-    /// always-bitpacked reference path (and what the kernel benchmarks
-    /// time as "packed"). Branchless per element: a uniform block stride
-    /// turns addressing into arithmetic, and the sentinel pad word makes
-    /// the two-word extraction unconditional.
-    #[inline]
-    pub fn unpack_row_into<'a>(&self, i: usize, buf: &'a mut Vec<u32>) -> &'a [u32] {
+    fn unpack_row_into<'a>(&self, i: usize, buf: &'a mut Vec<u32>) -> &'a [u32] {
         let start = self.offsets[i] as usize;
         let end = self.offsets[i + 1] as usize;
         buf.clear();
@@ -306,13 +226,12 @@ impl PackedRows {
     }
 
     /// Decodes every row back to plain CSR `(offsets, values)` — the
-    /// inverse of [`PackedRows::from_rows`], for serialization-free
-    /// consumers and tests.
+    /// inverse of [`PackedRows::from_rows`].
     pub fn decode_all(&self) -> (Vec<u32>, Vec<u32>) {
         let mut values = Vec::with_capacity(self.elems());
         let mut buf = Vec::new();
         for i in 0..self.len() {
-            values.extend_from_slice(self.decode_row_into(i, &mut buf));
+            values.extend_from_slice(self.unpack_row_into(i, &mut buf));
         }
         (self.offsets.clone(), values)
     }
@@ -324,7 +243,7 @@ impl PackedRows {
     pub fn validate(&self, bound: u32, ascending: bool) -> Result<(), String> {
         let mut buf = Vec::new();
         for i in 0..self.len() {
-            let row = self.decode_row_into(i, &mut buf);
+            let row = self.unpack_row_into(i, &mut buf);
             for (k, &v) in row.iter().enumerate() {
                 if v >= bound {
                     return Err(format!("packed rows: row {i} value {v} out of range"));
@@ -349,14 +268,9 @@ mod tests {
             values.extend_from_slice(r);
             offsets.push(values.len() as u32);
         }
-        let packed = PackedRows::from_rows(offsets.clone(), &values);
+        let packed = PackedRows::from_rows(&offsets, &values);
         assert_eq!(packed.len(), rows.len());
         assert_eq!(packed.elems(), values.len());
-        let mut buf = Vec::new();
-        for (i, r) in rows.iter().enumerate() {
-            assert_eq!(packed.decode_row_into(i, &mut buf), &r[..], "row {i}");
-            assert_eq!(packed.row_len(i), r.len());
-        }
         assert_eq!(packed.decode_all(), (offsets, values));
 
         // Serialized form survives the structural re-validation.
@@ -388,7 +302,7 @@ mod tests {
     #[test]
     fn ascending_lists_pack_small() {
         let row: Vec<u32> = (0..10_000).map(|i| i * 2).collect();
-        let packed = PackedRows::from_rows(vec![0, row.len() as u32], &row);
+        let packed = PackedRows::from_rows(&[0, row.len() as u32], &row);
         assert!(
             packed.heap_bytes() * 2 < packed.plain_bytes(),
             "{} vs {}",
@@ -399,17 +313,17 @@ mod tests {
 
     #[test]
     fn validate_catches_range_and_order() {
-        let packed = PackedRows::from_rows(vec![0, 3], &[1, 5, 5]);
+        let packed = PackedRows::from_rows(&[0, 3], &[1, 5, 5]);
         assert!(packed.validate(6, false).is_ok());
         assert!(packed.validate(5, false).is_err(), "bound");
         assert!(packed.validate(6, true).is_err(), "non-ascending");
-        let asc = PackedRows::from_rows(vec![0, 3], &[1, 5, 9]);
+        let asc = PackedRows::from_rows(&[0, 3], &[1, 5, 9]);
         assert!(asc.validate(10, true).is_ok());
     }
 
     #[test]
     fn from_raw_rejects_malformed_structure() {
-        let packed = PackedRows::from_rows(vec![0, 2, 5], &[3, 1, 4, 1, 5]);
+        let packed = PackedRows::from_rows(&[0, 2, 5], &[3, 1, 4, 1, 5]);
         let (o, w, bb, bits) = packed.raw_parts();
         let (o, w, bb, bits) = (o.to_vec(), w.to_vec(), bb.to_vec(), bits.to_vec());
         assert!(PackedRows::from_raw(vec![1, 2], w.clone(), bb.clone(), bits.clone()).is_err());
@@ -418,65 +332,5 @@ mod tests {
         assert!(PackedRows::from_raw(o.clone(), w.clone(), vec![0], bits.clone()).is_err());
         assert!(PackedRows::from_raw(o.clone(), w.clone(), bb.clone(), vec![]).is_err());
         assert!(PackedRows::from_raw(o, w, bb, bits).is_ok());
-    }
-
-    #[test]
-    fn plain_mirror_matches_bitpacked_decode() {
-        let rows: Vec<Vec<u32>> = (0..40u32)
-            .map(|i| (0..i % 9).map(|t| i * 31 + t * 7).collect())
-            .collect();
-        let mut offsets = vec![0u32];
-        let mut values = Vec::new();
-        for r in &rows {
-            values.extend_from_slice(r);
-            offsets.push(values.len() as u32);
-        }
-        let packed = PackedRows::from_rows(offsets, &values);
-        assert!(packed.has_plain_mirror(), "small input keeps the mirror");
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for i in 0..packed.len() {
-            assert_eq!(
-                packed.decode_row_into(i, &mut a).to_vec(),
-                packed.unpack_row_into(i, &mut b).to_vec(),
-                "row {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn mirror_cutover_drops_the_plain_copy_above_threshold() {
-        // One row either side of the cutover; decode must agree with the
-        // packed reference path in both regimes, and the heap figure must
-        // not change with the mirror (it tracks the persisted form).
-        let small: Vec<u32> = (0..64u32).collect();
-        let below = PackedRows::from_rows(vec![0, small.len() as u32], &small);
-        assert!(below.has_plain_mirror());
-
-        let big: Vec<u32> = (0..PLAIN_MIRROR_CUTOVER as u32).map(|i| i * 2).collect();
-        let above = PackedRows::from_rows(vec![0, big.len() as u32], &big);
-        assert!(!above.has_plain_mirror(), "cutover must drop the mirror");
-        let mut buf = Vec::new();
-        assert_eq!(above.decode_row_into(0, &mut buf), &big[..]);
-
-        // A store round-trip reproduces the same cutover decision.
-        let (o, w, bb, bits) = above.raw_parts();
-        let rebuilt =
-            PackedRows::from_raw(o.to_vec(), w.to_vec(), bb.to_vec(), bits.to_vec()).unwrap();
-        assert!(!rebuilt.has_plain_mirror());
-        let (o, w, bb, bits) = below.raw_parts();
-        let rebuilt =
-            PackedRows::from_raw(o.to_vec(), w.to_vec(), bb.to_vec(), bits.to_vec()).unwrap();
-        assert!(rebuilt.has_plain_mirror());
-        let mut buf = Vec::new();
-        assert_eq!(rebuilt.decode_row_into(0, &mut buf), &small[..]);
-    }
-
-    #[test]
-    fn default_is_empty() {
-        let p = PackedRows::default();
-        assert!(p.is_empty());
-        assert_eq!(p.elems(), 0);
-        assert_eq!(p.heap_bytes(), 4 + 8 + 16); // offsets [0] + block_bits [0] + pad words
     }
 }

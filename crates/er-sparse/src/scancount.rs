@@ -6,9 +6,8 @@
 //! `|A∩B|`. Unlike prefix-filter joins it has no similarity-threshold
 //! assumptions, which makes it suitable for the low thresholds ER needs.
 //!
-//! The index stores its postings as bitpacked CSR rows behind a
-//! [`TokenInterner`]: token id `t`'s posting list is packed row `t` of a
-//! [`PackedRows`], unpacked per token into a reusable scratch buffer.
+//! The index stores its postings as plain CSR rows behind a
+//! [`TokenInterner`]: token id `t`'s posting list is row `t`, a slice.
 //! Queries that arrive pre-interned ([`ScanCountIndex::query_ids_with`])
 //! skip the hash lookup entirely. The merge loop itself dispatches to an
 //! AVX2 gather kernel at runtime when the `simd` feature is enabled (see
@@ -16,12 +15,11 @@
 //! always-tested reference, and every variant is exactly
 //! candidate-set-identical because the loop is pure integer arithmetic.
 
-use crate::csr::{CsrTokenSets, TokenInterner};
-use crate::packed::PackedRows;
+use crate::csr::{CsrRows, CsrTokenSets, TokenInterner};
 use er_core::parallel::{self, Threads};
 
 /// Per-caller scratch for ScanCount queries: the overlap-count workhorse
-/// buffer plus the posting-list and query-row unpack buffers.
+/// buffer.
 ///
 /// Splitting the scratch out of the index lets queries run on `&self`, so
 /// parallel workers share one read-only index while each owns a scratch
@@ -31,22 +29,18 @@ use er_core::parallel::{self, Threads};
 pub struct ScanCountScratch {
     /// Overlap count per indexed entity; zero except while a query runs.
     counts: Vec<u32>,
-    /// Unpack target for one posting list at a time.
-    list_buf: Vec<u32>,
-    /// Unpack target for a packed query row ([`ScanCountIndex::query_row_with`]).
-    query_buf: Vec<u32>,
 }
 
-/// An inverted index over the token sets of one entity collection, with
-/// bitpacked posting lists (see module docs).
+/// An inverted index over the token sets of one entity collection (see
+/// module docs).
 #[derive(Debug, Clone, Default)]
 pub struct ScanCountIndex {
     /// Token hash → dense token id; shared with the query side so probes
     /// can be pre-interned once per artifact.
     interner: TokenInterner,
-    /// Bitpacked posting lists, one row per token id: ascending entity
-    /// indices, delta-encoded (see [`crate::packed`]).
-    postings: PackedRows,
+    /// Posting lists, one row per token id: strictly ascending entity
+    /// indices.
+    postings: CsrRows,
     /// Token-set cardinality `|A|` per indexed entity.
     set_sizes: Vec<u32>,
 }
@@ -80,8 +74,7 @@ impl ScanCountIndex {
 
         // Pass 2: prefix-sum the posting counts into CSR offsets and fill
         // the lists by walking the rows in entity order, which leaves each
-        // posting list in ascending entity order. The plain lists are then
-        // bitpacked; ascending ids with small gaps pack a few bits each.
+        // posting list in ascending entity order.
         let tokens = interner.len();
         let mut counts = vec![0u32; tokens];
         for &id in &row_tokens {
@@ -103,11 +96,12 @@ impl ScanCountIndex {
             }
         }
 
-        let index_sets = CsrTokenSets::from_parts(row_offsets, row_tokens, set_sizes.clone());
+        let index_sets =
+            CsrTokenSets::new(CsrRows::new(row_offsets, row_tokens), set_sizes.clone());
         (
             Self {
                 interner,
-                postings: PackedRows::from_rows(offsets, &postings),
+                postings: CsrRows::new(offsets, postings),
                 set_sizes,
             },
             index_sets,
@@ -128,7 +122,7 @@ impl ScanCountIndex {
             tokens.extend(set.iter().filter_map(|&t| self.interner.get(t)));
             offsets.push(tokens.len() as u32);
         }
-        CsrTokenSets::from_parts(offsets, tokens, set_sizes)
+        CsrTokenSets::new(CsrRows::new(offsets, tokens), set_sizes)
     }
 
     /// The dense id the index's interner assigned to `token`, if any.
@@ -153,23 +147,17 @@ impl ScanCountIndex {
         self.set_sizes[i as usize] as usize
     }
 
-    /// Heap footprint in bytes for artifact-cache budgeting: the packed
-    /// postings and the `set_sizes` array are exact; only the interner
-    /// term is an estimate (see [`TokenInterner::heap_bytes`]).
+    /// Heap footprint in bytes for artifact-cache budgeting: the postings
+    /// and the `set_sizes` array are exact; only the interner term is an
+    /// estimate (see [`TokenInterner::heap_bytes`]).
     pub fn heap_bytes(&self) -> usize {
         self.postings.heap_bytes() + self.set_sizes.len() * 4 + self.interner.heap_bytes()
     }
 
-    /// The bitpacked posting lists (compression-ratio reporting and the
-    /// kernel benchmarks unpack them from here).
-    pub fn postings(&self) -> &PackedRows {
-        &self.postings
-    }
-
     /// The serialized form for the persistent store: the interner's token
-    /// hashes in dense-id order, the packed posting rows and the entity
+    /// hashes in dense-id order, the posting rows and the entity
     /// cardinalities.
-    pub(crate) fn raw_parts(&self) -> (Vec<u64>, &PackedRows, &[u32]) {
+    pub(crate) fn raw_parts(&self) -> (Vec<u64>, &CsrRows, &[u32]) {
         (
             self.interner.tokens_by_id(),
             &self.postings,
@@ -178,13 +166,13 @@ impl ScanCountIndex {
     }
 
     /// Rebuilds an index from [`Self::raw_parts`] output. The caller (the
-    /// store codec) has validated the packed invariants and the entity-id
-    /// range; the interner rebuild reassigns identical dense ids, so
-    /// queries against the rebuilt index are byte-identical to the
-    /// original's.
+    /// store codec) has validated the CSR invariants, the entity-id range
+    /// and the ascending order; the interner rebuild reassigns identical
+    /// dense ids, so queries against the rebuilt index are byte-identical
+    /// to the original's.
     pub(crate) fn from_raw_parts(
         interner_tokens: &[u64],
-        postings: PackedRows,
+        postings: CsrRows,
         set_sizes: Vec<u32>,
     ) -> Self {
         Self {
@@ -211,14 +199,10 @@ impl ScanCountIndex {
         out: &mut Vec<(u32, u32)>,
     ) {
         out.clear();
-        let ScanCountScratch {
-            counts, list_buf, ..
-        } = scratch;
-        let counts = Self::sized(counts, self.set_sizes.len());
+        let counts = Self::sized(&mut scratch.counts, self.set_sizes.len());
         for &token in query {
             if let Some(id) = self.interner.get(token) {
-                let list = self.postings.decode_row_into(id as usize, list_buf);
-                merge_list(list, counts, out);
+                merge_list(self.postings.row(id as usize), counts, out);
             }
         }
         Self::finish(counts, out);
@@ -226,7 +210,7 @@ impl ScanCountIndex {
 
     /// [`ScanCountIndex::query_with`] for a query row already interned by
     /// this index (see [`ScanCountIndex::intern_queries`]) — the hot path:
-    /// no hashing, just packed-row walks.
+    /// no hashing, just posting-slice walks.
     pub fn query_ids_with(
         &self,
         scratch: &mut ScanCountScratch,
@@ -234,19 +218,15 @@ impl ScanCountIndex {
         out: &mut Vec<(u32, u32)>,
     ) {
         out.clear();
-        let ScanCountScratch {
-            counts, list_buf, ..
-        } = scratch;
-        let counts = Self::sized(counts, self.set_sizes.len());
+        let counts = Self::sized(&mut scratch.counts, self.set_sizes.len());
         for &id in query_ids {
-            let list = self.postings.decode_row_into(id as usize, list_buf);
-            merge_list(list, counts, out);
+            merge_list(self.postings.row(id as usize), counts, out);
         }
         Self::finish(counts, out);
     }
 
-    /// [`ScanCountIndex::query_ids_with`] for row `j` of a packed query
-    /// CSR, unpacking it through the scratch's query buffer.
+    /// [`ScanCountIndex::query_ids_with`] for row `j` of a query CSR
+    /// interned by this index.
     pub fn query_row_with(
         &self,
         scratch: &mut ScanCountScratch,
@@ -254,18 +234,7 @@ impl ScanCountIndex {
         j: usize,
         out: &mut Vec<(u32, u32)>,
     ) {
-        out.clear();
-        let ScanCountScratch {
-            counts,
-            list_buf,
-            query_buf,
-        } = scratch;
-        let counts = Self::sized(counts, self.set_sizes.len());
-        for &id in queries.row_into(j, query_buf) {
-            let list = self.postings.decode_row_into(id as usize, list_buf);
-            merge_list(list, counts, out);
-        }
-        Self::finish(counts, out);
+        self.query_ids_with(scratch, queries.row(j), out);
     }
 
     /// Sizes the count buffer to the index and hands it out.
@@ -335,8 +304,8 @@ pub(crate) fn merge_list_scalar(list: &[u32], counts: &mut [u32], out: &mut Vec<
 #[inline]
 fn merge_list(list: &[u32], counts: &mut [u32], out: &mut Vec<(u32, u32)>) {
     // SAFETY (simd variants): posting lists hold distinct entity ids
-    // `< counts.len()`, by construction in `build_with_sets` and by
-    // `PackedRows::validate` on every store decode.
+    // `< counts.len()`, by construction in `build_with_sets` and by the
+    // store codec's range + strictly-ascending check on every decode.
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
         if crate::simd::avx2() {
@@ -413,10 +382,10 @@ mod tests {
         let (idx, csr) = ScanCountIndex::build_with_sets(&sets);
         assert_eq!(csr.len(), 4);
         // First-encounter interning: 10→0, 20→1, 30→2, 40→3, 50→4.
-        assert_eq!(csr.row_vec(0), &[0, 1, 2]);
-        assert_eq!(csr.row_vec(1), &[2, 3]);
-        assert_eq!(csr.row_vec(2), &[] as &[u32]);
-        assert_eq!(csr.row_vec(3), &[4]);
+        assert_eq!(csr.row(0), &[0, 1, 2]);
+        assert_eq!(csr.row(1), &[2, 3]);
+        assert_eq!(csr.row(2), &[] as &[u32]);
+        assert_eq!(csr.row(3), &[4]);
         assert_eq!(csr.set_size(0), 3);
         assert_eq!(idx.token_id(30), Some(2));
         assert_eq!(idx.token_id(99), None);
@@ -432,17 +401,17 @@ mod tests {
         let queries: Vec<Vec<u64>> = vec![vec![0, 4, 100], vec![101], vec![], vec![1, 2, 3, 7]];
         let csr = idx.intern_queries(&queries);
         assert_eq!(csr.set_size(0), 3, "unknown tokens keep the cardinality");
-        assert!(csr.row_vec(1).is_empty(), "all-unknown row is empty");
+        assert!(csr.row(1).is_empty(), "all-unknown row is empty");
         let mut scratch = ScanCountScratch::default();
         for (j, q) in queries.iter().enumerate() {
             let mut raw = Vec::new();
             idx.query_with(&mut scratch, q, &mut raw);
             let mut interned = Vec::new();
-            idx.query_ids_with(&mut scratch, &csr.row_vec(j), &mut interned);
+            idx.query_ids_with(&mut scratch, csr.row(j), &mut interned);
             assert_eq!(raw, interned, "query {j} (ids)");
             let mut by_row = Vec::new();
             idx.query_row_with(&mut scratch, &csr, j, &mut by_row);
-            assert_eq!(raw, by_row, "query {j} (packed row)");
+            assert_eq!(raw, by_row, "query {j} (row)");
         }
     }
 
@@ -455,16 +424,15 @@ mod tests {
             .collect();
         let idx = ScanCountIndex::build(&sets);
         let mut counts = vec![0u32; idx.len()];
-        let mut buf = Vec::new();
-        for t in 0..idx.postings().len() {
-            let list = idx.postings().decode_row_into(t, &mut buf).to_vec();
+        for t in 0..idx.postings.len() {
+            let list = idx.postings.row(t);
             let mut reference = Vec::new();
-            merge_list_scalar(&list, &mut counts, &mut reference);
+            merge_list_scalar(list, &mut counts, &mut reference);
             for &(e, _) in &reference {
                 counts[e as usize] = 0;
             }
             let mut dispatched = Vec::new();
-            merge_list(&list, &mut counts, &mut dispatched);
+            merge_list(list, &mut counts, &mut dispatched);
             for &(e, _) in &dispatched {
                 counts[e as usize] = 0;
             }
@@ -522,11 +490,13 @@ mod tests {
             .map(|i| (0..=(i % 6)).map(|t| (i + t) % 37).collect())
             .collect();
         let idx = ScanCountIndex::build(&sets);
+        let (offsets, postings) = idx.postings.parts();
+        let packed = crate::packed::PackedRows::from_rows(offsets, postings);
         assert!(
-            idx.postings().heap_bytes() < idx.postings().plain_bytes(),
+            packed.heap_bytes() < idx.postings.heap_bytes(),
             "{} vs {}",
-            idx.postings().heap_bytes(),
-            idx.postings().plain_bytes()
+            packed.heap_bytes(),
+            idx.postings.heap_bytes()
         );
     }
 }

@@ -3,7 +3,7 @@
 //! The monolithic [`TokenSetsArtifact`] answers queries over a frozen
 //! snapshot of the indexed collection; any change means a full re-prepare.
 //! This module refactors that into a [`SegmentedTokenSets`]: a stack of
-//! immutable [`SparseSegment`]s — each exactly today's packed-postings /
+//! immutable [`SparseSegment`]s — each exactly the monolithic postings /
 //! token-set layout over a subset of the rows — plus a small mutable
 //! in-memory delta and a tombstone set:
 //!
@@ -83,7 +83,7 @@ pub struct SparseSegment {
     pub seq: u64,
     /// Stable row id of each artifact row, strictly ascending.
     pub ids: Vec<u32>,
-    /// The segment's own packed index + token sets; `query_sets` is the
+    /// The segment's own index + token sets; `query_sets` is the
     /// shared raw query collection interned against *this* segment.
     pub art: TokenSetsArtifact,
 }
@@ -134,9 +134,9 @@ impl SparseSegment {
     fn raw_row(&self, row: usize, tokens_by_id: &[u64]) -> Vec<u64> {
         self.art
             .index_sets
-            .row_vec(row)
-            .into_iter()
-            .map(|d| tokens_by_id[d as usize])
+            .row(row)
+            .iter()
+            .map(|&d| tokens_by_id[d as usize])
             .collect()
     }
 }
@@ -299,10 +299,9 @@ impl SegmentedTokenSets {
         query_raw: Vec<Vec<u64>>,
     ) -> Self {
         let ids: Vec<u32> = (0..art.index.len() as u32).collect();
-        // The cache-loaded artifact is shared, not copied: segment 0
-        // reuses its structures via the Arc, re-wrapped with the id
-        // column. (TokenSetsArtifact is plain data; clone-by-rebuild
-        // would double resident memory for the largest layer.)
+        // A sole owner hands its structures over in place (the serving
+        // boot drops its cache first so this holds); a shared artifact
+        // is deep-copied, doubling resident memory for the largest layer.
         let art = Arc::try_unwrap(art).unwrap_or_else(|arc| TokenSetsArtifact {
             index_sets: arc.index_sets.clone(),
             query_sets: arc.query_sets.clone(),

@@ -19,7 +19,7 @@
 //!
 //! Every id in `list` must be `< counts.len()` and ids within `list` must
 //! be distinct — the posting-list invariants, established at build time
-//! and re-validated by the store codec on decode ([`crate::packed`]).
+//! and re-validated by the store codec on decode ([`crate::store`]).
 //! The AVX2 gather additionally relies on ids fitting in `i32`, implied
 //! by `counts.len() <= i32::MAX as usize`.
 

@@ -1,15 +1,13 @@
 //! Persistent-store codecs for the sparse artifacts.
 //!
-//! Four codecs share this module. [`SparsePackedCodec`] (id 8) is the
-//! monolithic writer: it serializes [`TokenSetsArtifact`]'s bitpacked
-//! rows ([`crate::packed`]) verbatim — store files shrink by the same
-//! ratio as the in-memory postings — plus the token interner as its
-//! hashes in dense-id order (rebuilding by in-order insertion reassigns
-//! identical ids). [`SparseCodec`] (id 1) is the legacy plain-CSR layout
-//! from before postings were packed; it decodes old files forever (codec
-//! ids are append-only) but never encodes new ones, and is exempt from
-//! the store's heap-parity tripwire because packing at load time changes
-//! the in-memory footprint the old header recorded.
+//! Three codecs share this module. [`SparsePackedCodec`] (id 8) is the
+//! monolithic writer: it bitpacks [`TokenSetsArtifact`]'s CSR rows
+//! ([`crate::packed`]) at encode time — store files are a fraction of the
+//! resident size — plus the token interner as its hashes in dense-id
+//! order (rebuilding by in-order insertion reassigns identical ids).
+//! Decode unpacks once into the plain in-memory layout, so packing is an
+//! on-disk encoding and nothing else. Id 1 (the plain-CSR layout from
+//! before id 8) is retired and stays reserved.
 //!
 //! The segmented incremental index ([`crate::segmented`]) adds two more.
 //! [`SparseSegmentCodec`] (id 10) stores one immutable
@@ -25,22 +23,18 @@
 //! Decode re-validates every invariant the query paths index by — a file
 //! that passes its checksums but violates them (only possible under a
 //! checksum collision) is a structured error, never a later out-of-bounds
-//! access. For newly written files the decoded artifact reports
-//! byte-identical `heap_bytes` to a freshly built one: the packed terms
-//! are exact array sizes and the interner term depends only on its entry
-//! count.
+//! access. The decoded artifact reports byte-identical `heap_bytes` to a
+//! freshly built one: the CSR terms are exact array sizes and the
+//! interner term depends only on its entry count.
 
 use crate::artifact::TokenSetsArtifact;
-use crate::csr::CsrTokenSets;
+use crate::csr::{CsrRows, CsrTokenSets};
 use crate::packed::PackedRows;
 use crate::scancount::ScanCountIndex;
 use crate::segmented::{SparseManifest, SparseSegment};
 use er_store::{ArtifactCodec, SectionRatio, Sections, StoreError, StoreFile};
 use std::any::Any;
 use std::sync::Arc;
-
-/// Codec id of the legacy plain-CSR sparse layout (decode-only).
-pub const SPARSE_CODEC_ID: u32 = 1;
 
 /// Codec id of the bitpacked sparse layout (the writer).
 pub const SPARSE_PACKED_CODEC_ID: u32 = 8;
@@ -50,9 +44,6 @@ pub const SPARSE_SEGMENT_CODEC_ID: u32 = 10;
 
 /// Codec id of the segmented sparse index's manifest.
 pub const SPARSE_MANIFEST_CODEC_ID: u32 = 11;
-
-/// Decodes the legacy plain-CSR sparse layout (see module docs).
-pub struct SparseCodec;
 
 /// (De)serializes [`TokenSetsArtifact`] in the bitpacked layout.
 pub struct SparsePackedCodec;
@@ -76,98 +67,11 @@ fn check_offsets(what: &str, offsets: &[u32], values_len: usize) -> er_store::Re
     }
 }
 
-/// Checks every value in `ids` addresses an array of length `bound`.
-fn check_ids(what: &str, ids: &[u32], bound: usize) -> er_store::Result<()> {
-    if ids.iter().all(|&id| (id as usize) < bound) {
-        Ok(())
-    } else {
-        Err(StoreError::Malformed(format!("{what}: id out of range")))
-    }
-}
-
-/// Reads and validates one legacy plain-CSR `CsrTokenSets` (three
-/// consecutive sections), packing the rows at load time.
-fn decode_sets_plain(
-    what: &str,
-    cur: &mut er_store::SectionCursor<'_>,
-    token_bound: usize,
-) -> er_store::Result<CsrTokenSets> {
-    let offsets = cur.u32s()?.to_vec();
-    let tokens = cur.u32s()?.to_vec();
-    let set_sizes = cur.u32s()?.to_vec();
-    if offsets.len() != set_sizes.len() + 1 {
-        return Err(StoreError::Malformed(format!(
-            "{what}: offsets/rows mismatch"
-        )));
-    }
-    check_offsets(what, &offsets, tokens.len())?;
-    check_ids(what, &tokens, token_bound)?;
-    Ok(CsrTokenSets::from_parts(offsets, tokens, set_sizes))
-}
-
-impl ArtifactCodec for SparseCodec {
-    fn id(&self) -> u32 {
-        SPARSE_CODEC_ID
-    }
-
-    fn name(&self) -> &'static str {
-        "sparse"
-    }
-
-    /// Legacy layout: decode-only. New files are written by
-    /// [`SparsePackedCodec`].
-    fn encode(&self, _artifact: &(dyn Any + Send + Sync)) -> Option<Sections> {
-        None
-    }
-
-    /// The pre-packing layout stored smaller `heap_bytes` in its header
-    /// than the packed in-memory artifact it now decodes into.
-    fn exact_heap_parity(&self) -> bool {
-        false
-    }
-
-    fn decode(&self, file: &StoreFile) -> er_store::Result<(Arc<dyn Any + Send + Sync>, usize)> {
-        let mut cur = file.cursor()?;
-        let interner_tokens = cur.u64s()?.to_vec();
-        let offsets = cur.u32s()?.to_vec();
-        let postings = cur.u32s()?.to_vec();
-        let set_sizes = cur.u32s()?.to_vec();
-        if offsets.len() != interner_tokens.len() + 1 {
-            return Err(StoreError::Malformed(
-                "scancount: offsets/interner mismatch".to_owned(),
-            ));
-        }
-        check_offsets("scancount", &offsets, postings.len())?;
-        check_ids("scancount postings", &postings, set_sizes.len())?;
-        let token_bound = interner_tokens.len();
-        let index = ScanCountIndex::from_raw_parts(
-            &interner_tokens,
-            PackedRows::from_rows(offsets, &postings),
-            set_sizes,
-        );
-        let index_sets = decode_sets_plain("index_sets", &mut cur, token_bound)?;
-        let query_sets = decode_sets_plain("query_sets", &mut cur, token_bound)?;
-        cur.finish()?;
-        if index_sets.len() != index.len() {
-            return Err(StoreError::Malformed(
-                "index_sets rows != indexed entities".to_owned(),
-            ));
-        }
-        let heap_bytes = index_sets.heap_bytes() + query_sets.heap_bytes() + index.heap_bytes();
-        Ok((
-            Arc::new(TokenSetsArtifact {
-                index_sets,
-                query_sets,
-                index,
-            }),
-            heap_bytes,
-        ))
-    }
-}
-
-/// Serializes one [`PackedRows`] as four consecutive sections.
-fn push_packed(s: &mut Sections, rows: &PackedRows) {
-    let (offsets, widths, block_bits, bits) = rows.raw_parts();
+/// Bitpacks `rows` and serializes them as four consecutive sections.
+fn push_packed(s: &mut Sections, rows: &CsrRows) {
+    let (offsets, values) = rows.parts();
+    let packed = PackedRows::from_rows(offsets, values);
+    let (offsets, widths, block_bits, bits) = packed.raw_parts();
     s.u32s(offsets);
     s.bytes(widths);
     s.u64s(block_bits);
@@ -175,7 +79,8 @@ fn push_packed(s: &mut Sections, rows: &PackedRows) {
 }
 
 /// Reads one [`PackedRows`], re-checking the structural invariants the
-/// branchless unpacker indexes by.
+/// branchless unpacker indexes by. Callers range-check the values
+/// ([`PackedRows::validate`]) before unpacking them into a [`CsrRows`].
 fn read_packed(what: &str, cur: &mut er_store::SectionCursor<'_>) -> er_store::Result<PackedRows> {
     let offsets = cur.u32s()?.to_vec();
     let widths = cur.bytes()?.to_vec();
@@ -186,6 +91,12 @@ fn read_packed(what: &str, cur: &mut er_store::SectionCursor<'_>) -> er_store::R
     }
     PackedRows::from_raw(offsets, widths, block_bits, bits)
         .map_err(|e| StoreError::Malformed(format!("{what}: {e}")))
+}
+
+/// Unpacks validated rows into the resident plain layout.
+fn unpack(rows: &PackedRows) -> CsrRows {
+    let (offsets, values) = rows.decode_all();
+    CsrRows::new(offsets, values)
 }
 
 /// Reads one packed `CsrTokenSets`, range-checking the decoded token ids.
@@ -203,7 +114,7 @@ fn decode_sets_packed(
     }
     rows.validate(token_bound as u32, false)
         .map_err(|e| StoreError::Malformed(format!("{what}: {e}")))?;
-    Ok(CsrTokenSets::from_packed(rows, set_sizes))
+    Ok(CsrTokenSets::new(unpack(&rows), set_sizes))
 }
 
 /// Appends the bitpacked-artifact sections (the id-8 layout) to `s`:
@@ -215,7 +126,7 @@ fn encode_token_sets_artifact(s: &mut Sections, art: &TokenSetsArtifact) {
     push_packed(s, postings);
     s.u32s(set_sizes);
     for sets in [&art.index_sets, &art.query_sets] {
-        push_packed(s, sets.packed());
+        push_packed(s, sets.rows());
         s.u32s(sets.set_sizes());
     }
 }
@@ -240,7 +151,7 @@ fn decode_token_sets_artifact(
         .validate(set_sizes.len() as u32, true)
         .map_err(|e| StoreError::Malformed(format!("scancount postings: {e}")))?;
     let token_bound = interner_tokens.len();
-    let index = ScanCountIndex::from_raw_parts(&interner_tokens, postings, set_sizes);
+    let index = ScanCountIndex::from_raw_parts(&interner_tokens, unpack(&postings), set_sizes);
     let index_sets = decode_sets_packed("index_sets", cur, token_bound)?;
     let query_sets = decode_sets_packed("query_sets", cur, token_bound)?;
     if index_sets.len() != index.len() {
@@ -259,8 +170,9 @@ fn decode_token_sets_artifact(
     ))
 }
 
-/// Per-structure encoded (packed) vs decoded (plain CSR) byte sizes of
-/// one bitpacked artifact, for `er store inspect`'s compression report.
+/// Per-structure encoded (packed, on disk) vs decoded (plain CSR, in
+/// memory) byte sizes of one artifact, for `er store inspect`'s
+/// compression report.
 /// `cur` must stand at the artifact's interner section.
 fn artifact_section_ratios(
     cur: &mut er_store::SectionCursor<'_>,
@@ -506,11 +418,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("er_sparse_store_{}_{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = ArtifactStore::open(
-            &dir,
-            vec![Box::new(SparseCodec), Box::new(SparsePackedCodec)],
-        )
-        .expect("open");
+        let store = ArtifactStore::open(&dir, vec![Box::new(SparsePackedCodec)]).expect("open");
         (store, dir)
     }
 
@@ -540,14 +448,8 @@ mod tests {
         assert_eq!(saved, fresh.breakdown().prepare_total());
         let a = fresh.downcast::<TokenSetsArtifact>();
         let b = prepared.downcast::<TokenSetsArtifact>();
-        assert_eq!(
-            a.index_sets.packed().raw_parts(),
-            b.index_sets.packed().raw_parts()
-        );
-        assert_eq!(
-            a.query_sets.packed().raw_parts(),
-            b.query_sets.packed().raw_parts()
-        );
+        assert_eq!(a.index_sets.rows(), b.index_sets.rows());
+        assert_eq!(a.query_sets.rows(), b.query_sets.rows());
         assert_eq!(a.index.raw_parts(), b.index.raw_parts());
         // Query equivalence through the rebuilt interner.
         let mut scratch = ScanCountScratch::default();
@@ -559,6 +461,79 @@ mod tests {
                 .query_row_with(&mut scratch, &b.query_sets, q, &mut out_b);
             assert_eq!(out_a, out_b, "query {q}");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An index past 2²⁰ posting elements — larger than any benchmark
+    /// workload or other test builds: 70 000 rows × 16 tokens over a
+    /// 4 096-token vocabulary. Both joins must equal the frozen naive
+    /// reference, and the store round-trip must re-encode to the same
+    /// bytes and answer the same.
+    #[test]
+    fn index_past_a_million_postings_matches_reference_and_roundtrips() {
+        use crate::{reference, EpsilonJoin, KnnJoin, SimilarityMeasure};
+        use er_core::filter::Filter;
+        let row = |i: u64| -> String {
+            let base = er_core::hash::mix64(i) % 4096;
+            (0..16u64)
+                .map(|t| format!("w{}", (base + t * 257) % 4096))
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        let view = TextView::new(
+            (0..70_000).map(row).collect::<Vec<_>>(),
+            (0..40).map(|j| row(j * 1_753 + 5)).collect::<Vec<_>>(),
+        );
+        let model = RepresentationModel::parse("T1G").expect("T1G");
+        let fresh = TokenSetsArtifact::prepare(&view, false, model, false);
+        let (_, postings, _) = fresh.downcast::<TokenSetsArtifact>().index.raw_parts();
+        assert!(postings.parts().1.len() > 1 << 20);
+
+        let measure = SimilarityMeasure::Jaccard;
+        let eps = EpsilonJoin {
+            cleaning: false,
+            model,
+            measure,
+            threshold: 0.2,
+        };
+        let knn = KnnJoin {
+            cleaning: false,
+            model,
+            measure,
+            k: 3,
+            reversed: false,
+        };
+        let eps_fresh = eps.query(&view, &fresh).candidates.to_sorted_vec();
+        let knn_fresh = knn.query(&view, &fresh).candidates.to_sorted_vec();
+        assert!(!eps_fresh.is_empty() && !knn_fresh.is_empty());
+        assert_eq!(
+            eps_fresh,
+            reference::naive_epsilon(&view, false, model, measure, 0.2)
+        );
+        assert_eq!(
+            knn_fresh,
+            reference::naive_knn(&view, false, model, measure, 3, false)
+        );
+
+        let (store, dir) = store_in("large");
+        let key = ArtifactKey::new(3, eps.repr_key());
+        assert!(store.store(&key, &fresh).expect("store"));
+        let TierLoad::Hit { prepared, .. } = store.load(&key) else {
+            panic!("expected hit");
+        };
+        assert_eq!(prepared.bytes(), fresh.bytes());
+        assert!(
+            SparsePackedCodec.encode(prepared.any()) == SparsePackedCodec.encode(fresh.any()),
+            "re-encoding the loaded artifact changed the bytes"
+        );
+        assert_eq!(
+            eps.query(&view, &prepared).candidates.to_sorted_vec(),
+            eps_fresh
+        );
+        assert_eq!(
+            knn.query(&view, &prepared).candidates.to_sorted_vec(),
+            knn_fresh
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -602,14 +577,5 @@ mod tests {
         assert!(SparsePackedCodec
             .encode(&("not a sparse artifact".to_owned()))
             .is_none());
-        let model = RepresentationModel::parse("T1G").expect("T1G");
-        let fresh = TokenSetsArtifact::prepare(&view(), true, model, false);
-        let art = fresh.downcast::<TokenSetsArtifact>();
-        assert!(
-            SparseCodec
-                .encode(art as &(dyn Any + Send + Sync))
-                .is_none(),
-            "legacy codec is decode-only"
-        );
     }
 }

@@ -121,7 +121,7 @@ pub struct StoreMeta {
 
 /// The payload a codec emits: scalars plus typed flat arrays, in a fixed
 /// order that the decode cursor replays.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct Sections {
     scalars: Vec<u64>,
     parts: Vec<(DType, Vec<u8>)>,

@@ -42,22 +42,10 @@ pub trait ArtifactCodec: Send + Sync {
     fn id(&self) -> u32;
     /// Display name for `inspect` output.
     fn name(&self) -> &'static str;
-    /// Serializes `artifact` if it is a type this codec handles. Legacy
-    /// codecs return `None` unconditionally (decode-only): ids are
-    /// append-only, so a superseded layout keeps decoding old files while
-    /// a successor codec writes new ones.
+    /// Serializes `artifact` if it is a type this codec handles.
     fn encode(&self, artifact: &(dyn Any + Send + Sync)) -> Option<Sections>;
     /// Reconstructs the artifact and its heap byte count from `file`.
     fn decode(&self, file: &StoreFile) -> Result<(Arc<dyn Any + Send + Sync>, usize)>;
-    /// Whether decode reproduces the header's `heap_bytes` exactly (the
-    /// parity tripwire in [`ArtifactStore`]). Decode-only legacy codecs
-    /// override this to `false`: when the in-memory representation evolves
-    /// (e.g. postings became bitpacked), an old header records the old
-    /// footprint while decode reports the new one, and that drift is
-    /// expected rather than corruption.
-    fn exact_heap_parity(&self) -> bool {
-        true
-    }
     /// Per-structure encoded vs decoded byte sizes for `er store inspect`,
     /// when this codec's layout compresses its payload. The default (no
     /// entries) suits codecs that store sections verbatim.
@@ -83,14 +71,14 @@ pub trait ArtifactCodec: Send + Sync {
 }
 
 /// One `inspect` compression-report entry: a logical structure's encoded
-/// (on-disk / in-memory packed) vs decoded (plain layout) byte sizes.
+/// (on-disk, packed) vs decoded (in-memory, plain layout) byte sizes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SectionRatio {
     /// Structure label, e.g. `postings`.
     pub label: String,
     /// Bytes in the packed encoding.
     pub encoded_bytes: u64,
-    /// Bytes the plain (unpacked) layout would occupy.
+    /// Bytes the plain (unpacked) layout occupies.
     pub decoded_bytes: u64,
 }
 
@@ -210,11 +198,11 @@ impl ArtifactStore {
             .codec_by_id(file.codec_id())
             .ok_or_else(|| StoreError::NoCodec(format!("id {}", file.codec_id())))?;
         let (artifact, heap_bytes) = codec.decode(&file)?;
-        if codec.exact_heap_parity() && heap_bytes as u64 != file.heap_bytes() {
+        if heap_bytes as u64 != file.heap_bytes() {
             // The heap_bytes parity contract: a decoded artifact must cost
-            // the cache budget exactly what the fresh one did. Legacy
-            // codecs opt out (see `ArtifactCodec::exact_heap_parity`); the
-            // cache is budgeted with the decoded figure either way.
+            // the cache budget exactly what the fresh one did. A file whose
+            // header records another figure was written by a binary with a
+            // different in-memory layout; the caller re-prepares.
             return Err(StoreError::Malformed(format!(
                 "decoded heap bytes {heap_bytes} != stored {}",
                 file.heap_bytes()

@@ -12,8 +12,7 @@
 #    neither warm pass re-prepares anything and all three report
 #    identically, and leaves BENCH_prepare.json.
 # 3. Runs the kernel/layout micro-benchmark (naive vs CSR sparse layouts,
-#    scalar vs blocked vs SIMD dense kernels, packed vs plain postings,
-#    exact vs quantized-with-rescore flat scans), which verifies every
+#    scalar vs blocked vs SIMD dense kernels), which verifies every
 #    optimized path's candidate sets match its reference bit-for-bit and
 #    leaves BENCH_kernels.json.
 # 4. Appends the run's headline speedups to results/bench_history.jsonl
@@ -125,7 +124,7 @@ fi
 echo "== wrote BENCH_prepare.json" >&2
 cat BENCH_prepare.json
 
-echo "== kernel smoke: naive layouts vs CSR/SIMD/packed/quantized kernels" >&2
+echo "== kernel smoke: naive layouts vs CSR/SIMD kernels" >&2
 cargo build --release -p er-bench --bin bench_kernels --bin bench_history >&2
 target/release/bench_kernels --scale "${BENCH_KERNEL_SCALE:-0.25}" --seed 7 \
     --out BENCH_kernels.json >&2
@@ -133,23 +132,12 @@ if ! grep -q '"candidate_sets_identical":true' BENCH_kernels.json; then
     echo "KERNEL FAILURE: CSR pipeline disagrees with the naive reference" >&2
     exit 1
 fi
-# The per-path gates: packed posting traversal and the quantized scan
-# must each match their exact reference, and the dense kernels must be
-# bitwise identical across scalar/blocked/SIMD.
-if grep -q '"candidate_sets_identical":false' BENCH_kernels.json; then
-    echo "KERNEL FAILURE: an optimized path disagrees with its reference" >&2
-    exit 1
-fi
+# The dense kernels must be bitwise identical across scalar/blocked/SIMD.
 if grep -q '"bitwise_identical":false' BENCH_kernels.json; then
     echo "KERNEL FAILURE: SIMD/blocked dense kernels are not bit-identical" >&2
     exit 1
 fi
-ratio="$(grep -o '"size_ratio":[0-9.]*' BENCH_kernels.json | cut -d: -f2)"
-if ! awk -v r="${ratio:-0}" 'BEGIN { exit !(r >= 1.5) }'; then
-    echo "KERNEL FAILURE: packed postings size ratio $ratio < 1.5x" >&2
-    exit 1
-fi
-echo "== wrote BENCH_kernels.json (postings packed ${ratio}x smaller)" >&2
+echo "== wrote BENCH_kernels.json" >&2
 cat BENCH_kernels.json
 
 echo "== perf history: append + regression check" >&2

@@ -12,6 +12,7 @@
 //! back to a fresh prepare — never a panic, never a changed report.
 
 use er::core::parallel::Threads;
+use er::store::{StoreError, StoreMeta};
 use er_bench::report::sweep_csv;
 use er_bench::{run_sweep, Settings};
 use std::path::{Path, PathBuf};
@@ -169,7 +170,8 @@ fn store_artifacts_are_reused_by_a_fresh_process() {
 /// Flipping one byte anywhere in a store file yields a structured load
 /// failure and a silent fall-back to preparing: the report is
 /// byte-identical to a clean run, the corruption is counted, and the
-/// rewritten store serves the *next* run fully warm again.
+/// rewritten store serves the *next* run fully warm again. A file
+/// carrying a retired codec id takes the same path.
 #[test]
 fn corrupt_store_files_fall_back_to_preparing() {
     if std::env::var(CHILD_BASE).is_ok() {
@@ -219,6 +221,116 @@ fn corrupt_store_files_fall_back_to_preparing() {
     assert_eq!(s.corrupt, 0, "healed store has no damage: {s:?}");
     assert!(s.store_hits > 0, "healed store serves from disk: {s:?}");
 
+    // Same fall-back for a file stamped with a retired codec id (1: the
+    // plain-CSR sparse layout): a structured `NoCodec` failure, never a
+    // decode attempt. Re-stamp every sparse-packed file, keeping its key.
+    let mut retired = Vec::new();
+    for (path, info) in store.inspect().expect("inspect") {
+        let info = info.expect("healed file is readable");
+        if info.codec_id != 8 {
+            continue;
+        }
+        let meta = StoreMeta {
+            codec_id: 1,
+            dataset_fp: info.dataset_fp,
+            repr: info.repr,
+            prepare_nanos: info.prepare.as_nanos() as u64,
+            heap_bytes: info.heap_bytes,
+        };
+        let mut sections = er::store::Sections::new();
+        sections.u32s(&[0]);
+        er::store::format::write_store(&path, &meta, &sections).expect("re-stamp");
+        retired.push(path);
+    }
+    assert!(!retired.is_empty(), "the sweep spilled sparse artifacts");
+    for (path, verdict) in store.verify().expect("verify") {
+        if retired.contains(&path) {
+            assert!(
+                matches!(verdict, Err(StoreError::NoCodec(_))),
+                "{}: {verdict:?}",
+                path.display()
+            );
+        } else {
+            verdict.expect("untouched file verifies");
+        }
+    }
+    let again = run_sweep(&settings, 1, false).expect("sweep over retired files");
+    assert_eq!(sweep_csv(&again, false), clean_csv);
+    let s = again[0].stats;
+    assert_eq!(s.corrupt, retired.len(), "each retired file counted: {s:?}");
+    assert_eq!(s.misses, retired.len(), "and re-prepared: {s:?}");
+
     Threads::set(0);
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// XXH64 over every encoded section of the one file `filter`'s prepared
+/// artifact spills to: dtype code, length and payload of each section in
+/// order — everything a codec decides, nothing the header adds (prepare
+/// time, heap bytes).
+fn section_digest(
+    tag: &str,
+    filter: &dyn er::core::Filter,
+    view: &er::core::schema::TextView,
+) -> u64 {
+    use er::core::artifacts::{ArtifactKey, DiskTier};
+    let dir = scratch_dir(tag);
+    let store = er_bench::open_store(&dir).expect("open store");
+    let key = ArtifactKey::new(view.fingerprint(), filter.repr_key());
+    assert!(store.store(&key, &filter.prepare(view)).expect("store"));
+    let file = er::store::StoreFile::open(&store.file_path(&key)).expect("open file");
+    let mut hash = er::store::xxh::Xxh64Stream::default();
+    for (i, info) in file.sections().iter().enumerate() {
+        hash.update(info.dtype.name().as_bytes());
+        hash.update(&info.len.to_le_bytes());
+        hash.update(file.section_bytes(i).expect("section"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    hash.finish()
+}
+
+/// "Same bytes on disk" asserted, not assumed: the digests below were
+/// computed with the binary that still kept packed rows (and the
+/// quantized sidecar) in memory. Any change to what codec 8 or codec 9
+/// writes for these inputs — section order, packing, padding words —
+/// moves them.
+#[test]
+fn encoded_sections_match_the_frozen_digests() {
+    if std::env::var(CHILD_BASE).is_ok() {
+        return;
+    }
+    let view = er::core::schema::TextView::new(
+        (0..60)
+            .map(|i| format!("canon powershot sx{} digital camera kit {}", i % 7, i * 13))
+            .collect::<Vec<_>>(),
+        (0..25)
+            .map(|i| format!("canon camera sx{} bundle {}", i % 5, i * 31))
+            .collect::<Vec<_>>(),
+    );
+    let sparse = er::sparse::KnnJoin {
+        cleaning: true,
+        model: er::sparse::RepresentationModel::parse("C3G").expect("C3G"),
+        measure: er::sparse::SimilarityMeasure::Cosine,
+        k: 2,
+        reversed: false,
+    };
+    let dense = er::dense::FlatKnn {
+        cleaning: true,
+        k: 2,
+        reversed: false,
+        embedding: er::dense::EmbeddingConfig {
+            dim: 16,
+            ..Default::default()
+        },
+    };
+    assert_eq!(
+        section_digest("digest8", &sparse, &view),
+        8_611_190_076_792_471_714,
+        "codec 8 sections"
+    );
+    assert_eq!(
+        section_digest("digest9", &dense, &view),
+        4_628_786_987_096_702_592,
+        "codec 9 sections"
+    );
 }
