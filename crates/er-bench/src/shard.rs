@@ -151,14 +151,15 @@ pub fn run_shard_sweep(settings: &Settings, verbose: bool) -> io::Result<ShardSw
                     .map(|&j| {
                         dense.clear();
                         join.query_row_into(&segment.art, j, &mut scratch, &mut hits, &mut dense);
-                        // Dense ids map to stable ids through the
-                        // segment's ascending id column; sort so each
-                        // per-shard list is ascending no matter what
-                        // order the merge loop emitted hits in.
-                        let mut stable: Vec<u32> =
-                            dense.iter().map(|&d| segment.ids[d as usize]).collect();
-                        stable.sort_unstable();
-                        stable
+                        // `query_row_into` sorts the dense ids it keeps
+                        // (the merge loop emits hits in first-touch
+                        // order), and they map to stable ids through
+                        // the segment's ascending id column — so each
+                        // per-shard list is ascending as it stands.
+                        dense
+                            .iter()
+                            .map(|&d| segment.ids[d as usize])
+                            .collect::<Vec<u32>>()
                     })
                     .collect()
             });

@@ -38,8 +38,8 @@ use er::core::schema::TextView;
 use er::core::shard::{shard_repr, ShardPlan, ShardSubset};
 use er::sparse::segmented::{manifest_repr, segment_repr};
 use er::sparse::{
-    EpsilonJoin, KnnJoin, MergeScratch, RepresentationModel, SegmentedTokenSets, ShardedIndex,
-    SparseManifest, SparseSegment, TokenSetsArtifact,
+    EpsilonJoin, KnnJoin, MergeScratch, QueryCounters, RepresentationModel, SegmentedTokenSets,
+    ShardedIndex, SparseManifest, SparseSegment, TokenSetsArtifact,
 };
 use er::text::Cleaner;
 use std::path::{Path, PathBuf};
@@ -156,10 +156,25 @@ pub struct IndexStats {
     pub live_rows: usize,
 }
 
+/// The guarded result of one scored lookup.
+pub type ScoredOutcome = RunOutcome<Vec<(u32, f64)>>;
+
 /// Reusable per-worker query scratch: one merge scratch per shard.
 #[derive(Default)]
 pub struct RowScratch {
     merge: Vec<MergeScratch>,
+}
+
+impl RowScratch {
+    /// Rows touched and rows kept by the lookups run through this scratch
+    /// since the last call, summed over its shards; resets the totals.
+    pub fn take_counters(&mut self) -> QueryCounters {
+        let mut total = QueryCounters::default();
+        for merge in &mut self.merge {
+            total += merge.take_counters();
+        }
+        total
+    }
 }
 
 /// A resident lookup engine over the sharded segmented index.
@@ -563,7 +578,7 @@ impl Engine {
         row: usize,
         limits: Limits,
         scratch: &mut RowScratch,
-    ) -> RunOutcome<Vec<(u32, f64)>> {
+    ) -> ScoredOutcome {
         guard::run_guarded(limits, || {
             if faults::enabled() {
                 faults::fire(&format!("serve/query/{row}"));
@@ -592,16 +607,21 @@ impl Engine {
     /// The scored counterpart of [`Engine::lookup_batch`]. Sorting the
     /// ids of a scored answer ascending reproduces the plain answer
     /// exactly, so the server runs every batch through this one path and
-    /// encodes each response plain or scored per request.
+    /// encodes each response plain or scored per request. Each outcome
+    /// comes with what its lookup touched and kept, for the server's
+    /// stats.
     pub fn lookup_batch_scored(
         &self,
         jobs: &[(usize, Limits)],
-    ) -> Vec<RunOutcome<Vec<(u32, f64)>>> {
+    ) -> Vec<(ScoredOutcome, QueryCounters)> {
         let chunk = parallel::query_chunk_len(jobs.len());
         parallel::par_map_chunks_with(Threads::get(), jobs, chunk, |_, part| {
             let mut scratch = RowScratch::default();
             part.iter()
-                .map(|&(row, limits)| self.lookup_scored_with(row, limits, &mut scratch))
+                .map(|&(row, limits)| {
+                    let outcome = self.lookup_scored_with(row, limits, &mut scratch);
+                    (outcome, scratch.take_counters())
+                })
                 .collect::<Vec<_>>()
         })
         .into_iter()

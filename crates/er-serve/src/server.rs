@@ -25,6 +25,7 @@ use crate::queue::{Admission, PushError};
 use er::core::faults;
 use er::core::guard::{self, Deadline, FailReason, Limits, RunOutcome};
 use er::core::timing::{format_runtime, LatencyHistogram};
+use er::sparse::QueryCounters;
 use er_bench::jsonl::Json;
 use er_bench::wire::{LineReader, LineWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -98,6 +99,9 @@ pub struct ServerStats {
     pub compactions: u64,
     /// End-to-end latency (admission to response) of served lookups.
     pub histogram: LatencyHistogram,
+    /// Indexed rows the served lookups touched and kept, in total: what
+    /// a lookup costs and what it was for.
+    pub lookup_work: QueryCounters,
 }
 
 /// One admitted lookup job.
@@ -207,6 +211,14 @@ impl Shared {
                 Json::Num(stats.histogram.quantile(0.99).as_micros() as f64),
             ),
             ("histogram_us".into(), Json::Arr(histogram)),
+            (
+                "touched_per_query".into(),
+                Json::Num(stats.lookup_work.touched as f64 / stats.served.max(1) as f64),
+            ),
+            (
+                "survivors_per_query".into(),
+                Json::Num(stats.lookup_work.survivors as f64 / stats.served.max(1) as f64),
+            ),
             ("rows".into(), Json::Num(self.engine.rows() as f64)),
             ("shards".into(), Json::Num(self.engine.n_shards() as f64)),
             (
@@ -709,7 +721,7 @@ fn run_worker(shared: &Arc<Shared>) {
         // The batch's replies all exist now: queue each on its connection
         // and give every connection one write, not one per reply.
         let mut touched: Vec<Arc<ConnWriter>> = Vec::new();
-        for (job, outcome) in runnable.into_iter().zip(outcomes) {
+        for (job, (outcome, work)) in runnable.into_iter().zip(outcomes) {
             let line = match outcome {
                 RunOutcome::Ok(scored) => {
                     let latency = job.admitted.elapsed();
@@ -717,6 +729,7 @@ fn run_worker(shared: &Arc<Shared>) {
                         let mut stats = shared.stats.lock().unwrap();
                         stats.served += 1;
                         stats.histogram.record(latency);
+                        stats.lookup_work += work;
                     }
                     let us = latency.as_micros().min(u64::MAX as u128) as u64;
                     if job.scored {

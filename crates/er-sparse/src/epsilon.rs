@@ -39,10 +39,13 @@ impl EpsilonJoin {
         )
     }
 
-    /// Candidates of one query row, appended to `out` in index order —
-    /// exactly what the batch [`Filter::query`] loop records for row `j`
-    /// (which calls this), so an online lookup served from a store-loaded
-    /// artifact is byte-identical to the offline sweep by construction.
+    /// Candidates of one query row, appended to `out` in ascending index
+    /// order — exactly what the batch [`Filter::query`] loop records for
+    /// row `j` (which calls this), so an online lookup served from a
+    /// store-loaded artifact is byte-identical to the offline sweep by
+    /// construction. The hits arrive in first-touch order
+    /// ([`crate::scancount`]); only the ids that pass the filters are
+    /// sorted.
     pub fn query_row_into(
         &self,
         art: &TokenSetsArtifact,
@@ -58,6 +61,7 @@ impl EpsilonJoin {
         // argument).
         let (lo, hi) = self.measure.size_bounds(qlen, self.threshold);
         art.index.query_row_with(scratch, &art.query_sets, j, hits);
+        let appended = out.len();
         for &(i, overlap) in hits.iter() {
             let ilen = art.index.set_size(i);
             if ilen < lo || ilen > hi {
@@ -68,6 +72,7 @@ impl EpsilonJoin {
                 out.push(i);
             }
         }
+        out[appended..].sort_unstable();
     }
 }
 

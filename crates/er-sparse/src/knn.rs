@@ -14,6 +14,7 @@ use crate::similarity::SimilarityMeasure;
 use er_core::filter::{Filter, FilterOutput, Prepared};
 use er_core::parallel::{self, Threads};
 use er_core::schema::TextView;
+use std::cmp::Ordering;
 
 /// A configured kNN-Join.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,14 +37,14 @@ pub struct KnnJoin {
 /// size-bounded maximum similarity falls strictly below the current floor
 /// is also strictly below the *final* k-th distinct value — skipping it is
 /// exact under the distinct-similarity (Cone) semantics.
-struct DistinctFloor {
+pub(crate) struct DistinctFloor {
     k: usize,
     /// Distinct similarities, descending, at most `k` entries.
     sims: Vec<f64>,
 }
 
 impl DistinctFloor {
-    fn new(k: usize) -> Self {
+    pub(crate) fn new(k: usize) -> Self {
         Self {
             k,
             sims: Vec::with_capacity(k.min(64)),
@@ -52,7 +53,7 @@ impl DistinctFloor {
 
     /// Records a (positive) similarity; returns `true` when the floor
     /// changed, i.e. when the derived size bounds must be recomputed.
-    fn observe(&mut self, sim: f64) -> bool {
+    pub(crate) fn observe(&mut self, sim: f64) -> bool {
         let pos = self.sims.partition_point(|&s| s > sim);
         if self.sims.get(pos).copied() == Some(sim) {
             return false; // already tracked
@@ -67,10 +68,19 @@ impl DistinctFloor {
     }
 
     /// The k-th highest distinct similarity, once `k` distinct values have
-    /// been seen.
-    fn floor(&self) -> Option<f64> {
-        (self.sims.len() == self.k).then(|| self.sims[self.k - 1])
+    /// been seen (never, for `k = 0`).
+    pub(crate) fn floor(&self) -> Option<f64> {
+        self.sims.get(self.k.checked_sub(1)?).copied()
     }
+}
+
+/// The order of a kNN answer: descending similarity, ascending id. Ids
+/// are distinct within a list, so the order is total and a sort by it
+/// does not depend on the order of its input.
+fn by_rank(a: &(u32, f64), b: &(u32, f64)) -> Ordering {
+    b.1.partial_cmp(&a.1)
+        .unwrap_or(Ordering::Equal)
+        .then(a.0.cmp(&b.0))
 }
 
 impl KnnJoin {
@@ -87,42 +97,38 @@ impl KnnJoin {
     }
 
     /// Selects, from `(entity, similarity)` candidates, those tying one of
-    /// the `k` highest distinct similarity values. Zero similarities never
-    /// qualify. Public because the multi-process merge proxy applies the
-    /// same global cut over per-child scored answers that
-    /// `ShardedCursor::knn_row` applies over per-shard ones — the sort is
-    /// descending similarity, ascending id, so the result is independent
-    /// of concatenation order.
+    /// the `k` highest distinct similarity values, and orders them by
+    /// descending similarity, ascending id. One pass finds the k-th
+    /// distinct similarity, the entries below it are dropped, and only
+    /// the survivors are sorted — the input may be as long as a ScanCount
+    /// hit list, the output is a handful of rows. Zero similarities are
+    /// the callers' to drop (every scoring loop does, before pushing): a
+    /// zero handed in here ranks like any other value.
+    ///
+    /// Public because the multi-process merge proxy applies the same
+    /// global cut over per-child scored answers that
+    /// `ShardedCursor::knn_row` applies over per-shard ones; the floor is
+    /// a property of the value set and the final order is total, so the
+    /// result is independent of concatenation order.
     pub fn select_top_k(k: usize, scored: &mut Vec<(u32, f64)>) -> usize {
-        if scored.is_empty() || k == 0 {
+        if k == 0 {
             scored.clear();
             return 0;
         }
-        // Descending similarity, ascending id for determinism.
-        scored.sort_unstable_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        let mut distinct = 0usize;
-        let mut last = f64::NAN;
-        let mut cut = scored.len();
-        for (i, &(_, sim)) in scored.iter().enumerate() {
-            if sim != last {
-                distinct += 1;
-                last = sim;
-                if distinct > k {
-                    cut = i;
-                    break;
-                }
-            }
+        let mut floor = DistinctFloor::new(k);
+        for &(_, sim) in scored.iter() {
+            floor.observe(sim);
         }
-        scored.truncate(cut);
-        cut
+        if let Some(floor) = floor.floor() {
+            scored.retain(|&(_, sim)| sim >= floor);
+        }
+        scored.sort_unstable_by(by_rank);
+        scored.len()
     }
 
-    /// Scores one query row against the index: every positive-similarity
-    /// candidate surviving the distinct-floor length filter, unsorted.
+    /// Scores one query row against the index into `scratch.scored`:
+    /// every positive-similarity candidate surviving the distinct-floor
+    /// length filter, in first-touch order.
     ///
     /// With `k = None` the length filter is off and the result is the full
     /// positive-similarity candidate list (the rankings path).
@@ -133,12 +139,13 @@ impl KnnJoin {
         k: Option<usize>,
         scratch: &mut ScanCountScratch,
         hits: &mut Vec<(u32, u32)>,
-    ) -> Vec<(u32, f64)> {
+    ) {
         let qlen = art.query_sets.set_size(j);
         art.index.query_row_with(scratch, &art.query_sets, j, hits);
         let mut floor = k.map(DistinctFloor::new);
         let mut bounds: Option<(usize, usize)> = None;
-        let mut scored: Vec<(u32, f64)> = Vec::with_capacity(hits.len());
+        let scored = &mut scratch.scored;
+        scored.clear();
         for &(i, overlap) in hits.iter() {
             let ilen = art.index.set_size(i);
             if let Some((lo, hi)) = bounds {
@@ -157,7 +164,6 @@ impl KnnJoin {
                 }
             }
         }
-        scored
     }
 
     /// The selected neighbors of one query row — scoring plus the
@@ -175,9 +181,9 @@ impl KnnJoin {
         scratch: &mut ScanCountScratch,
         hits: &mut Vec<(u32, u32)>,
     ) -> Vec<(u32, f64)> {
-        let mut scored = self.score_query(art, j, Some(self.k), scratch, hits);
-        Self::select_top_k(self.k, &mut scored);
-        scored
+        self.score_query(art, j, Some(self.k), scratch, hits);
+        Self::select_top_k(self.k, &mut scratch.scored);
+        scratch.scored.clone()
     }
 }
 
@@ -211,20 +217,17 @@ impl KnnJoin {
                 let mut hits: Vec<(u32, u32)> = Vec::new();
                 (0..part.len())
                     .map(|local| {
-                        let mut scored = self.score_query(
-                            artifact,
-                            offset + local,
-                            None,
-                            &mut scratch,
-                            &mut hits,
-                        );
-                        scored.sort_unstable_by(|a, b| {
-                            b.1.partial_cmp(&a.1)
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                                .then(a.0.cmp(&b.0))
-                        });
-                        scored.truncate(max_neighbors);
-                        scored
+                        self.score_query(artifact, offset + local, None, &mut scratch, &mut hits);
+                        // Cut to the best `max_neighbors` first, then
+                        // order those: the order is total, so this is
+                        // the prefix a full sort would leave.
+                        let scored = &mut scratch.scored;
+                        if max_neighbors < scored.len() {
+                            scored.select_nth_unstable_by(max_neighbors, by_rank);
+                            scored.truncate(max_neighbors);
+                        }
+                        scored.sort_unstable_by(by_rank);
+                        scored.clone()
                     })
                     .collect::<Vec<_>>()
             });
@@ -416,6 +419,11 @@ mod tests {
         let mut zero_k = vec![(1, 0.5)];
         KnnJoin::select_top_k(0, &mut zero_k);
         assert!(zero_k.is_empty());
+
+        // The input's order is irrelevant, the output's is fixed.
+        let mut shuffled = vec![(4, 0.4), (2, 0.9), (3, 0.5), (1, 0.9)];
+        assert_eq!(KnnJoin::select_top_k(2, &mut shuffled), 3);
+        assert_eq!(shuffled, vec![(1, 0.9), (2, 0.9), (3, 0.5)]);
     }
 
     #[test]
@@ -469,8 +477,10 @@ mod tests {
                 let mut scratch = ScanCountScratch::default();
                 let mut hits = Vec::new();
                 for j in 0..art.query_sets.len() {
-                    let mut filtered = join.score_query(art, j, Some(k), &mut scratch, &mut hits);
-                    let mut unfiltered = join.score_query(art, j, None, &mut scratch, &mut hits);
+                    join.score_query(art, j, Some(k), &mut scratch, &mut hits);
+                    let mut filtered = scratch.scored.clone();
+                    join.score_query(art, j, None, &mut scratch, &mut hits);
+                    let mut unfiltered = scratch.scored.clone();
                     KnnJoin::select_top_k(k, &mut filtered);
                     KnnJoin::select_top_k(k, &mut unfiltered);
                     assert_eq!(filtered, unfiltered, "{} k={k} j={j}", measure.name());

@@ -56,7 +56,7 @@ pub use packed::PackedRows;
 pub use representation::RepresentationModel;
 pub use scancount::{ScanCountIndex, ScanCountScratch};
 pub use segmented::{
-    MergeCursor, MergeScratch, PendingCompaction, PersistReport, SegmentedTokenSets,
+    MergeCursor, MergeScratch, PendingCompaction, PersistReport, QueryCounters, SegmentedTokenSets,
     SparseManifest, SparseSegment,
 };
 pub use sharded::{ShardedCursor, ShardedIndex};

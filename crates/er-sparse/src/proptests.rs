@@ -21,6 +21,115 @@ fn arb_texts(n: usize) -> impl Strategy<Value = Vec<String>> {
     proptest::collection::vec("[a-d ]{0,16}", 1..n)
 }
 
+/// The joins over a collection whose ScanCount hits do *not* come back
+/// in id order, against the naive reference. Rows 0 and 2 share `a`,
+/// row 1 holds `b`: whichever of the two tokens a query walks first, the
+/// other posting list reaches back to a lower id. Everything downstream
+/// of the hit list has to impose its own order.
+#[test]
+fn joins_match_reference_when_touch_order_is_not_ascending() {
+    let e1: Vec<String> = ["a", "b", "a c", "b d", "c d e", "a b c d", "e", "b c"]
+        .iter()
+        .map(|t| (*t).to_owned())
+        .collect();
+    let e2: Vec<String> = ["a b", "c a b", "d e b", "e a", "b"]
+        .iter()
+        .map(|t| (*t).to_owned())
+        .collect();
+    let view = TextView::new(e1, e2);
+    let model = RepresentationModel {
+        ngram: None,
+        multiset: false,
+    };
+    let prepared = TokenSetsArtifact::prepare(&view, false, model, false);
+    let art = prepared.downcast::<TokenSetsArtifact>();
+    let (index_sets, query_sets) = reference::tokenize(&view, false, model, false);
+    let naive = reference::NaiveScanCountIndex::build(&index_sets);
+    let mut scratch = ScanCountScratch::default();
+    let mut hits = Vec::new();
+
+    // The fixture does what it says: some row's hits are out of id order.
+    let mut unordered = 0;
+    for (j, query) in query_sets.iter().enumerate() {
+        art.index
+            .query_row_with(&mut scratch, &art.query_sets, j, &mut hits);
+        unordered += usize::from(hits.windows(2).any(|w| w[0].0 > w[1].0));
+        hits.sort_unstable();
+        assert_eq!(hits, naive.query(query), "row {j}: same hit set");
+    }
+    assert!(unordered > 0, "every row's touch order is ascending");
+
+    for measure in SimilarityMeasure::ALL {
+        for threshold in [0.0, 0.3, 0.6] {
+            let join = EpsilonJoin {
+                cleaning: false,
+                model,
+                measure,
+                threshold,
+            };
+            let mut got = Vec::new();
+            for (j, query) in query_sets.iter().enumerate() {
+                // A non-empty `out` must keep its prefix untouched.
+                let mut row = vec![u32::MAX];
+                join.query_row_into(art, j, &mut scratch, &mut hits, &mut row);
+                let want: Vec<u32> = naive
+                    .query(query)
+                    .into_iter()
+                    .filter(|&(i, o)| {
+                        measure.compute(o as usize, naive.set_size(i), query.len()) >= threshold
+                    })
+                    .map(|(i, _)| i)
+                    .collect();
+                assert_eq!(row[0], u32::MAX);
+                assert_eq!(&row[1..], want, "{} t={threshold} row {j}", measure.name());
+                got.extend(want.iter().map(|&i| er_core::Pair::new(i, j as u32)));
+            }
+            got.sort_unstable();
+            assert_eq!(
+                got,
+                reference::naive_epsilon(&view, false, model, measure, threshold)
+            );
+            assert_eq!(join.run(&view).candidates.to_sorted_vec(), got);
+        }
+        for k in [1usize, 2, 4] {
+            let join = KnnJoin {
+                cleaning: false,
+                model,
+                measure,
+                k,
+                reversed: false,
+            };
+            for (j, query) in query_sets.iter().enumerate() {
+                let mut want: Vec<(u32, f64)> = naive
+                    .query(query)
+                    .into_iter()
+                    .map(|(i, o)| {
+                        let sim = measure.compute(o as usize, naive.set_size(i), query.len());
+                        (i, sim)
+                    })
+                    .collect();
+                reference::naive_select_top_k(k, &mut want);
+                let got = join.query_row(art, j, &mut scratch, &mut hits);
+                assert_eq!(got, want, "{} k={k} row {j}", measure.name());
+            }
+            assert_eq!(
+                join.run(&view).candidates.to_sorted_vec(),
+                reference::naive_knn(&view, false, model, measure, k, false)
+            );
+            let top = TopKJoin {
+                cleaning: false,
+                model,
+                measure,
+                k,
+            };
+            assert_eq!(
+                top.run(&view).candidates.to_sorted_vec(),
+                reference::naive_topk(&view, model, measure, k)
+            );
+        }
+    }
+}
+
 proptest! {
     /// All measures are symmetric in the set sizes except cosine/dice are;
     /// and every measure is bounded by min-containment.
@@ -216,6 +325,35 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    /// The select-then-sort [`KnnJoin::select_top_k`] is the frozen
+    /// sort-everything-then-cut definition, whatever order its input
+    /// arrives in: five similarity values over up to 40 rows force ties
+    /// at, above and below the cut, and `k = 0` and lists with fewer
+    /// than `k` distinct values hit both early exits.
+    #[test]
+    fn select_top_k_matches_sort_then_cut_under_permutation(
+        rows in proptest::collection::vec((0usize..5, any::<u32>()), 0..40),
+        k in 0usize..=4,
+    ) {
+        const SIMS: [f64; 5] = [0.125, 0.3, 0.5, 2.0 / 3.0, 1.0];
+        let base: Vec<(u32, f64)> = rows
+            .iter()
+            .enumerate()
+            .map(|(id, &(s, _))| (id as u32, SIMS[s]))
+            .collect();
+        let mut want = base.clone();
+        reference::naive_select_top_k(k, &mut want);
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_unstable_by_key(|&i| (rows[i].1, i));
+        let permuted: Vec<(u32, f64)> = order.iter().map(|&i| base[i]).collect();
+        for input in [base, permuted] {
+            let mut got = input;
+            let kept = KnnJoin::select_top_k(k, &mut got);
+            prop_assert_eq!(kept, want.len());
+            prop_assert_eq!(&got, &want, "k={}", k);
         }
     }
 

@@ -14,12 +14,21 @@
 //! [`crate::simd`]); [`merge_list_scalar`] is the always-available,
 //! always-tested reference, and every variant is exactly
 //! candidate-set-identical because the loop is pure integer arithmetic.
+//!
+//! **Filter, then order.** A query returns its hits in *first-touch*
+//! order — the order the merge loop first met each entity, which is
+//! ascending within one posting list and arbitrary across lists. A
+//! Zipf-head token touches half the collection, and nearly all of those
+//! hits fail the caller's length or threshold filter, so ordering is the
+//! caller's job, done over the survivors: [`crate::epsilon`] sorts the
+//! ids it kept, [`crate::knn`] selects and then sorts, the top-k heap and
+//! the DkNN histograms need no order at all.
 
 use crate::csr::{CsrRows, CsrTokenSets, TokenInterner};
 use er_core::parallel::{self, Threads};
 
 /// Per-caller scratch for ScanCount queries: the overlap-count workhorse
-/// buffer.
+/// buffer, plus the scoring buffer of the kNN join that runs on top of it.
 ///
 /// Splitting the scratch out of the index lets queries run on `&self`, so
 /// parallel workers share one read-only index while each owns a scratch
@@ -29,6 +38,10 @@ use er_core::parallel::{self, Threads};
 pub struct ScanCountScratch {
     /// Overlap count per indexed entity; zero except while a query runs.
     counts: Vec<u32>,
+    /// `(entity, similarity)` of the row [`crate::KnnJoin`] is scoring:
+    /// as long as the hit list, so it is kept here instead of allocated
+    /// per query.
+    pub(crate) scored: Vec<(u32, f64)>,
 }
 
 /// An inverted index over the token sets of one entity collection (see
@@ -187,9 +200,11 @@ impl ScanCountIndex {
     /// sharing at least one token.
     ///
     /// `query` must be duplicate-free. `out` is cleared first and filled in
-    /// ascending entity order, making downstream consumers deterministic;
-    /// reusing the same buffer across queries avoids per-query allocation.
-    /// Callers holding pre-interned rows should use
+    /// first-touch order (see the module docs): a pure function of the
+    /// index and the query's token order, so consumers stay deterministic,
+    /// but not sorted — a caller that needs an order imposes it on what it
+    /// keeps. Reusing the same buffer across queries avoids per-query
+    /// allocation. Callers holding pre-interned rows should use
     /// [`ScanCountIndex::query_ids_with`] instead, which skips the
     /// per-token hash lookups.
     pub fn query_with(
@@ -246,14 +261,12 @@ impl ScanCountIndex {
         counts
     }
 
-    /// Sorts the touched entities, records their overlaps and resets the
-    /// touched counters.
+    /// Records the overlap of every touched entity and resets its
+    /// counter: one pass, in the order the merge loop appended them.
     #[inline]
     fn finish(counts: &mut [u32], out: &mut [(u32, u32)]) {
-        out.sort_unstable_by_key(|&(e, _)| e);
         for entry in out.iter_mut() {
-            entry.1 = counts[entry.0 as usize];
-            counts[entry.0 as usize] = 0;
+            entry.1 = std::mem::take(&mut counts[entry.0 as usize]);
         }
     }
 
@@ -342,6 +355,25 @@ mod tests {
         let idx = index();
         // Query {2,3,4}: entity 0 overlaps {2,3}=2, entity 1 {3,4}=2.
         assert_eq!(collect(&idx, &[2, 3, 4]), vec![(0, 2), (1, 2)]);
+    }
+
+    #[test]
+    fn hits_come_back_in_first_touch_order() {
+        // Entity 0: {1}; entity 1: {2}; entity 2: {2,3}; entity 3: {1,3}.
+        let idx = ScanCountIndex::build(&[vec![1], vec![2], vec![2, 3], vec![1, 3]]);
+        // Token 2 touches entities 1 and 2 before token 1 reaches the
+        // lower id 0: the documented order is the merge loop's, not id
+        // order, and a later token only appends what it touches first.
+        let out = collect(&idx, &[2, 1, 3]);
+        assert_eq!(
+            out.iter().map(|&(e, _)| e).collect::<Vec<_>>(),
+            vec![1, 2, 0, 3]
+        );
+        let mut by_id = out;
+        by_id.sort_unstable();
+        assert_eq!(by_id, vec![(0, 1), (1, 1), (2, 2), (3, 2)]);
+        // Counters are reset whatever the order was.
+        assert_eq!(collect(&idx, &[1]), vec![(0, 1), (3, 1)]);
     }
 
     #[test]

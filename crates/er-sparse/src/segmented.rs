@@ -35,18 +35,29 @@
 //!
 //! ## kNN across segments
 //!
-//! Per-segment scoring runs with the distinct-floor pruning *disabled*
-//! ([`KnnJoin::score_query`] with `k = None`): a shadowed or tombstoned
-//! high-similarity candidate inside one segment could otherwise tighten
-//! that segment's floor and prune a live candidate that belongs in the
-//! global top-k. The merged, owner-filtered list then goes through the
-//! same [`KnnJoin::select_top_k`] cut as the monolithic path. The ε-join
-//! keeps its per-candidate length filter — that one is an absolute
-//! threshold per candidate, exact under any partitioning.
+//! A segment is never scored with its own distinct-floor pruning
+//! ([`KnnJoin::score_query`]'s `k`): a shadowed or tombstoned
+//! high-similarity candidate inside one segment could tighten that
+//! segment's floor and prune a live candidate that belongs in the global
+//! top-k. [`MergeCursor::knn_row`] instead keeps one floor for the whole
+//! row, fed only by rows that passed the ownership test. That floor is
+//! the k-th distinct similarity of *some* live rows, so it can only be
+//! at or below the final one, and a hit strictly below it is strictly
+//! below the final cut whoever owns it — such a hit is dropped before
+//! the ownership probe, everything else is probed. The merged, owned
+//! list then goes through the same [`KnnJoin::select_top_k`] cut as the
+//! monolithic path. The ε-join's tests are an absolute threshold per
+//! candidate, exact under any partitioning, so there the ownership
+//! probe simply runs last, on the few hits that passed.
+//!
+//! Both row kernels follow the sparse stack's *filter, then order*
+//! contract ([`crate::scancount`]): hits arrive unsorted, the cheap
+//! arithmetic tests run first, the hash probe next, and only what
+//! survives is sorted.
 
 use crate::artifact::TokenSetsArtifact;
 use crate::epsilon::EpsilonJoin;
-use crate::knn::KnnJoin;
+use crate::knn::{DistinctFloor, KnnJoin};
 use crate::scancount::{ScanCountIndex, ScanCountScratch};
 use crate::store::{SparseManifestCodec, SPARSE_MANIFEST_CODEC_ID};
 use er_core::artifacts::{ArtifactKey, DiskTier, TierLoad};
@@ -718,13 +729,42 @@ impl SegmentedTokenSets {
     }
 }
 
-/// Per-worker scratch for merged queries: the ScanCount buffers plus the
-/// sorted copy of the current query row the delta probes binary-search.
+/// Per-worker scratch for merged queries: the ScanCount buffers, the
+/// sorted copy of the current query row the delta probes binary-search,
+/// the kNN merge buffer, and running totals of the work done through it.
 #[derive(Debug, Default)]
 pub struct MergeScratch {
     scan: ScanCountScratch,
     hits: Vec<(u32, u32)>,
     sorted_query: Vec<u64>,
+    /// Owned `(stable id, similarity)` rows of the kNN row in progress.
+    merged: Vec<(u32, f64)>,
+    counters: QueryCounters,
+}
+
+impl MergeScratch {
+    /// The totals accumulated since the last call, which resets them.
+    pub fn take_counters(&mut self) -> QueryCounters {
+        std::mem::take(&mut self.counters)
+    }
+}
+
+/// What the row kernels did, summed over the rows answered through one
+/// [`MergeScratch`]: the two numbers that explain a lookup's cost.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueryCounters {
+    /// Indexed rows the ScanCount merge touched (shared ≥ 1 token).
+    pub touched: u64,
+    /// Rows left after every filter — the ones a row kernel ordered and
+    /// returned (per shard: a sharded kNN re-cuts their union once more).
+    pub survivors: u64,
+}
+
+impl std::ops::AddAssign for QueryCounters {
+    fn add_assign(&mut self, other: Self) {
+        self.touched += other.touched;
+        self.survivors += other.survivors;
+    }
 }
 
 /// Answers ε/kNN queries across segments + delta with tombstone and
@@ -776,18 +816,20 @@ impl MergeCursor<'_> {
                 j,
                 &mut self.scratch.hits,
             );
+            self.scratch.counters.touched += self.scratch.hits.len() as u64;
             for &(i, overlap) in self.scratch.hits.iter() {
-                let id = seg.ids[i as usize];
-                if self.seg.owner.get(&id) != Some(&Owner::Seg(seg.seq)) {
-                    continue; // shadowed by a newer layer, or tombstoned
-                }
                 let ilen = seg.art.index.set_size(i);
                 if ilen < lo || ilen > hi {
                     continue;
                 }
                 let sim = join.measure.compute(overlap as usize, ilen, qlen);
-                if sim >= join.threshold {
-                    out.push(id);
+                if sim < join.threshold {
+                    continue;
+                }
+                // The hash probe last: nearly every hit is gone by now.
+                let id = seg.ids[i as usize];
+                if self.seg.owner.get(&id) == Some(&Owner::Seg(seg.seq)) {
+                    out.push(id); // else shadowed by a newer layer, or tombstoned
                 }
             }
         }
@@ -809,33 +851,42 @@ impl MergeCursor<'_> {
             }
         }
         out.sort_unstable();
+        self.scratch.counters.survivors += out.len() as u64;
         out
     }
 
     /// kNN neighbors of query row `j`: `(stable id, similarity)` after
     /// the global distinct-top-k cut — bitwise what [`KnnJoin::query_row`]
-    /// yields on a full rebuild. Per-segment scoring disables the
-    /// distinct-floor pruning (see module docs for why that is required
-    /// for exactness under suppression).
+    /// yields on a full rebuild. One distinct floor spans the layers and
+    /// sees owned rows only (see module docs for why that is what keeps
+    /// the cut exact under suppression).
     pub fn knn_row(&mut self, join: &KnnJoin, j: usize) -> Vec<(u32, f64)> {
-        let mut merged: Vec<(u32, f64)> = Vec::new();
+        let qlen = self.seg.query_raw[j].len();
+        let mut floor = DistinctFloor::new(join.k);
+        self.scratch.merged.clear();
         for seg in &self.seg.segments {
-            let scored = join.score_query(
-                &seg.art,
-                j,
-                None,
+            seg.art.index.query_row_with(
                 &mut self.scratch.scan,
+                &seg.art.query_sets,
+                j,
                 &mut self.scratch.hits,
             );
-            for (i, sim) in scored {
+            self.scratch.counters.touched += self.scratch.hits.len() as u64;
+            for &(i, overlap) in self.scratch.hits.iter() {
+                let sim = join
+                    .measure
+                    .compute(overlap as usize, seg.art.index.set_size(i), qlen);
+                if sim <= 0.0 || floor.floor().is_some_and(|f| sim < f) {
+                    continue;
+                }
                 let id = seg.ids[i as usize];
                 if self.seg.owner.get(&id) == Some(&Owner::Seg(seg.seq)) {
-                    merged.push((id, sim));
+                    floor.observe(sim);
+                    self.scratch.merged.push((id, sim));
                 }
             }
         }
         if !self.seg.delta.is_empty() {
-            let qlen = self.seg.query_raw[j].len();
             self.sort_query(j);
             for (&id, tokens) in &self.seg.delta {
                 let overlap = Self::delta_overlap(tokens, &self.scratch.sorted_query);
@@ -844,12 +895,13 @@ impl MergeCursor<'_> {
                 }
                 let sim = join.measure.compute(overlap, tokens.len(), qlen);
                 if sim > 0.0 {
-                    merged.push((id, sim));
+                    self.scratch.merged.push((id, sim));
                 }
             }
         }
-        KnnJoin::select_top_k(join.k, &mut merged);
-        merged
+        KnnJoin::select_top_k(join.k, &mut self.scratch.merged);
+        self.scratch.counters.survivors += self.scratch.merged.len() as u64;
+        self.scratch.merged.clone()
     }
 }
 
@@ -1143,6 +1195,57 @@ mod tests {
         seg.apply_compact(pending);
         assert_matches_oracle(&seg, &net);
         assert!(seg.delta.contains_key(&3), "newer upsert still shadowing");
+    }
+
+    #[test]
+    fn suppressed_rows_that_pass_every_filter_stay_out() {
+        // Query 0 is "alpha beta". Rows 0 and 9 reach it with similarity
+        // 1.0 from inside the segment — they pass the size window, the
+        // threshold and any kNN floor — and neither is live: 0 is
+        // tombstoned, 9 is shadowed by a delta row that shares nothing
+        // with the query. Only the ownership probe can drop them, and
+        // with the arithmetic tests now ahead of it, it must still run.
+        let mut seg = SegmentedTokenSets::new("sparse:test", queries());
+        let mut net = BTreeMap::new();
+        for (id, text) in [
+            (0u32, "alpha beta"),
+            (2, "alpha beta c"),
+            (4, "alpha"),
+            (6, "c d e"),
+            (9, "beta alpha"),
+        ] {
+            seg.upsert(id, toks(text));
+            net.insert(id, toks(text));
+        }
+        assert!(seg.flush());
+        seg.delete(0);
+        net.remove(&0);
+        seg.upsert(9, toks("zz"));
+        net.insert(9, toks("zz"));
+
+        let mut cursor = seg.cursor();
+        let eps = epsilon(0.5, SimilarityMeasure::Jaccard);
+        assert_eq!(cursor.epsilon_row(&eps, 0), vec![2, 4]);
+        // Had the suppressed 1.0s fed the floor, k = 1 would have cut at
+        // 1.0 and returned nothing; the live best is row 2 at 2/3.
+        let best = cursor.knn_row(&knn(1, SimilarityMeasure::Jaccard), 0);
+        assert_eq!(best, vec![(2, 2.0 / 3.0)]);
+        let two = cursor.knn_row(&knn(2, SimilarityMeasure::Jaccard), 0);
+        assert_eq!(two, vec![(2, 2.0 / 3.0), (4, 0.5)]);
+        // 3 segment scans × 4 touched rows (query 0 misses "c d e"; the
+        // tombstoned and the shadowed row are touched like any other),
+        // 2 + 1 + 2 rows returned.
+        assert_eq!(
+            cursor.into_scratch().take_counters(),
+            QueryCounters {
+                touched: 12,
+                survivors: 5
+            }
+        );
+        assert_matches_oracle(&seg, &net);
+        // The same through a second segment instead of the delta.
+        assert!(seg.flush());
+        assert_matches_oracle(&seg, &net);
     }
 
     fn store_in(name: &str) -> (ArtifactStore, std::path::PathBuf) {

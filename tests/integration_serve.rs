@@ -282,8 +282,19 @@ fn concurrent_tcp_lookups_are_byte_identical_and_leave_the_store_untouched() {
     assert_eq!(stats.get("cache_misses").and_then(Json::as_f64), Some(0.0));
     assert!(stats.get("p50_us").and_then(Json::as_f64).is_some());
     assert!(stats.get("histogram_us").and_then(Json::as_arr).is_some());
+    // Every row was served exactly once, so the kept-rows ratio is the
+    // mean answer length, and nothing is kept that was not touched.
+    let kept: usize = expected.iter().map(Vec::len).sum();
+    let survivors = stats.get("survivors_per_query").and_then(Json::as_f64);
+    assert_eq!(survivors, Some(kept as f64 / rows as f64));
+    let touched = stats.get("touched_per_query").and_then(Json::as_f64);
+    assert!(
+        touched >= survivors,
+        "{touched:?} touched, {survivors:?} kept"
+    );
 
     let final_stats = server.stop();
+    assert_eq!(final_stats.lookup_work.survivors as usize, kept);
     assert_eq!(final_stats.served as usize, rows);
     assert_eq!(final_stats.failed, 0);
     assert_eq!(final_stats.shed, 0);
