@@ -9,10 +9,12 @@
 //!
 //! The sweep is **shard-major**: one shard at a time is fetched through
 //! the [`ArtifactCache`] (prepared from the stream on a cold miss,
-//! loaded from the `.erst` store file on a warm one), all queries run
-//! against it via [`EpsilonJoin::query_row_into`] on the deterministic
-//! parallel layer, and the shard is released before the next one is
-//! touched. Under a `--cache-budget` below the total artifact footprint
+//! loaded from the `.erst` store file on a warm one), wrapped as a
+//! one-segment [`SegmentedTokenSets`] — empty delta, no tombstones,
+//! nothing suppressed — and answers every query through its
+//! `epsilon_batch`: the serving stack's own batch runner and row kernel,
+//! on the deterministic parallel layer. The shard is released before the
+//! next one is touched. Under a `--cache-budget` below the total artifact footprint
 //! the cache *unmaps* cold shards (drops the resident copy of an entry
 //! the disk tier already holds) instead of re-preparing them — peak
 //! memory is a handful of shards, never the collection.
@@ -31,11 +33,11 @@ use er::core::artifacts::{ArtifactCache, ArtifactKey};
 use er::core::hash::mix64;
 use er::core::shard::{shard_repr, ShardPlan};
 use er::core::timing::Stage;
-use er::core::{parallel, PhaseBreakdown, Prepared, Stopwatch, Threads};
+use er::core::{PhaseBreakdown, Prepared, Stopwatch, Threads};
 use er::datagen::{StreamGen, StreamSpec};
 use er::sparse::segmented::segment_repr;
 use er::sparse::{
-    EpsilonJoin, RepresentationModel, ScanCountScratch, SimilarityMeasure, SparseSegment,
+    EpsilonJoin, RepresentationModel, SegmentedTokenSets, SimilarityMeasure, SparseSegment,
 };
 use std::io;
 use std::path::Path;
@@ -111,12 +113,10 @@ pub fn run_shard_sweep(settings: &Settings, verbose: bool) -> io::Result<ShardSw
     let sw_total = Stopwatch::start();
     let mut query_wall = std::time::Duration::ZERO;
     let mut results: Vec<Vec<u32>> = vec![Vec::new(); n_queries];
-    let js: Vec<usize> = (0..n_queries).collect();
-    let chunk = parallel::query_chunk_len(n_queries);
 
     for s in 0..plan.n() {
-        let repr = segment_repr(&shard_repr(BASE_REPR, s, plan.n()), 0);
-        let key = ArtifactKey::new(dataset_fp, repr);
+        let base = shard_repr(BASE_REPR, s, plan.n());
+        let key = ArtifactKey::new(dataset_fp, segment_repr(&base, 0));
         let prepared = cache
             .get_or_prepare(&key, || {
                 let mut breakdown = PhaseBreakdown::new();
@@ -135,43 +135,23 @@ pub fn run_shard_sweep(settings: &Settings, verbose: bool) -> io::Result<ShardSw
                 Prepared::from_arc(Arc::new(segment), bytes, breakdown)
             })
             .map_err(io::Error::other)?;
-        let segment: &SparseSegment = prepared.downcast();
+        let segment = prepared
+            .arc()
+            .downcast::<SparseSegment>()
+            .map_err(|_| io::Error::other(format!("{} is not a sparse segment", key.repr)))?;
+        let rows = segment.len();
+        let shard = SegmentedTokenSets::from_segment(base, segment, query_raw.clone());
 
-        // All queries against this one resident shard, parallelized over
-        // deterministic chunks — per-chunk outputs merge in chunk order,
-        // so the candidate lists are independent of the thread count.
+        // Each row's list holds this shard's stable ids, ascending.
         let sw = Stopwatch::start();
-        let per_chunk: Vec<Vec<Vec<u32>>> =
-            parallel::par_map_chunks_with(threads, &js, chunk, |_, chunk_js| {
-                let mut scratch = ScanCountScratch::default();
-                let mut hits: Vec<(u32, u32)> = Vec::new();
-                let mut dense: Vec<u32> = Vec::new();
-                chunk_js
-                    .iter()
-                    .map(|&j| {
-                        dense.clear();
-                        join.query_row_into(&segment.art, j, &mut scratch, &mut hits, &mut dense);
-                        // `query_row_into` sorts the dense ids it keeps
-                        // (the merge loop emits hits in first-touch
-                        // order), and they map to stable ids through
-                        // the segment's ascending id column — so each
-                        // per-shard list is ascending as it stands.
-                        dense
-                            .iter()
-                            .map(|&d| segment.ids[d as usize])
-                            .collect::<Vec<u32>>()
-                    })
-                    .collect()
-            });
-        for (j, list) in per_chunk.into_iter().flatten().enumerate() {
+        for (j, list) in shard.epsilon_batch(&join, threads).into_iter().enumerate() {
             results[j].extend(list);
         }
         query_wall += sw.elapsed();
         if verbose {
             eprintln!(
-                "   [shard {s}/{}] {} rows, query pass {}",
+                "   [shard {s}/{}] {rows} rows, query pass {}",
                 plan.n(),
-                segment.len(),
                 er::core::timing::format_runtime(sw.elapsed()),
             );
         }
@@ -368,6 +348,15 @@ mod tests {
             .collect();
         assert_eq!(matched.len(), 1);
         assert!(!matched[0].contains("matched_queries=0 "));
+    }
+
+    #[test]
+    fn report_digest_is_frozen() {
+        // Computed before the shard sweep moved onto the serving stack's
+        // query path; any change to an answer moves it.
+        let out = sweep(&["--rows", "600", "--queries", "40", "--shards", "3"]);
+        let digest = out.report.lines().find(|l| l.starts_with("digest "));
+        assert_eq!(digest, Some("digest 090e70a0a722d0af"), "{}", out.report);
     }
 
     #[test]

@@ -143,6 +143,25 @@ fn query_rows(addr: &str, n: usize) -> Vec<String> {
     responses
 }
 
+/// The `(touched_per_query, survivors_per_query)` a daemon reports.
+fn lookup_work(addr: &str) -> (f64, f64) {
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    writeln!(conn, r#"{{"op":"stats"}}"#).expect("send");
+    let mut line = String::new();
+    BufReader::new(conn)
+        .read_line(&mut line)
+        .expect("stats line");
+    let doc = Json::parse(&line).expect("stats parse");
+    let get = |key: &str| {
+        doc.get(key)
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("no {key} in {line}"))
+    };
+    (get("touched_per_query"), get("survivors_per_query"))
+}
+
 /// Drops the `us` latency field — the only response field that may
 /// differ between a proxy and a single-process daemon.
 fn normalize(line: &str) -> String {
@@ -173,7 +192,9 @@ fn proxy_answers_byte_identical_to_single_process_across_layouts() {
             .iter()
             .map(|l| normalize(l))
             .collect();
+        let want_work = lookup_work(&reference.addr);
         reference.stop();
+        assert!(want_work.0 > 0.0, "{label}: lookups touch rows");
         assert!(
             want.iter()
                 .any(|l| l.contains("\"candidates\":[") && !l.contains("[]")),
@@ -199,6 +220,13 @@ fn proxy_answers_byte_identical_to_single_process_across_layouts() {
                 got, want,
                 "{label}: {children} children / {threads} threads must merge to the \
                  single-process bytes"
+            );
+            // Touched and kept rows are functions of the index and the
+            // rows asked, so the proxy's aggregate equals one process's.
+            assert_eq!(
+                lookup_work(&proxy.addr),
+                want_work,
+                "{label}: {children} children report the single-process lookup work"
             );
             let stderr = proxy.stop();
             assert!(

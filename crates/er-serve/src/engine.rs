@@ -35,11 +35,10 @@ use er::core::filter::Filter;
 use er::core::guard::{self, Limits, RunOutcome};
 use er::core::parallel::{self, Threads};
 use er::core::schema::TextView;
-use er::core::shard::{shard_repr, ShardPlan, ShardSubset};
-use er::sparse::segmented::{manifest_repr, segment_repr};
+use er::core::shard::{ShardPlan, ShardSubset};
 use er::sparse::{
     EpsilonJoin, KnnJoin, MergeScratch, QueryCounters, RepresentationModel, SegmentedTokenSets,
-    ShardedIndex, SparseManifest, SparseSegment, TokenSetsArtifact,
+    ShardedIndex, TokenSetsArtifact,
 };
 use er::text::Cleaner;
 use std::path::{Path, PathBuf};
@@ -192,45 +191,6 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Restores one segmented index rooted at `base` from its persisted
-    /// manifest, loading manifest and segments through `cache` so the
-    /// startup counters count every store read. `Ok(None)` when no
-    /// manifest is persisted for `base`.
-    fn restore_segmented(
-        cache: &ArtifactCache,
-        dataset: u64,
-        base: &str,
-    ) -> Result<Option<SegmentedTokenSets>, String> {
-        let manifest_key = ArtifactKey::new(dataset, manifest_repr(base));
-        let prepared = match cache.lookup(&manifest_key) {
-            Some(Ok(prepared)) => prepared,
-            Some(Err(msg)) => {
-                return Err(format!("manifest {} unusable: {msg}", manifest_key.repr))
-            }
-            None => return Ok(None),
-        };
-        let manifest = prepared.downcast::<SparseManifest>().clone();
-        let mut segments = Vec::with_capacity(manifest.segment_seqs.len());
-        for &seq in &manifest.segment_seqs {
-            let seg_key = ArtifactKey::new(dataset, segment_repr(base, seq));
-            let segment = match cache.lookup(&seg_key) {
-                Some(Ok(p)) => p
-                    .arc()
-                    .downcast::<SparseSegment>()
-                    .map_err(|_| format!("segment {} decoded to a foreign type", seg_key.repr))?,
-                Some(Err(msg)) => return Err(format!("segment {} unusable: {msg}", seg_key.repr)),
-                None => {
-                    return Err(format!(
-                        "manifest references missing segment {}",
-                        seg_key.repr
-                    ))
-                }
-            };
-            segments.push(segment);
-        }
-        SegmentedTokenSets::from_parts(manifest, segments).map(Some)
-    }
-
     /// Loads the monolithic sweep artifact for `key` through `cache`.
     fn load_monolith(
         cache: &ArtifactCache,
@@ -278,25 +238,11 @@ impl Engine {
         let key = ArtifactKey::new(view.fingerprint(), method.repr_key());
 
         // Persisted per-shard manifests win: the daemon resumes its own
-        // prior live state. With one shard the shard root IS `key.repr`,
-        // so this is exactly the classic monolithic resume.
-        let mut restored_shards = Vec::with_capacity(plan.n() as usize);
-        for s in 0..plan.n() {
-            let base = shard_repr(&key.repr, s, plan.n());
-            if let Some(shard) = Self::restore_segmented(&cache, key.dataset, &base)? {
-                restored_shards.push(shard);
-            }
-        }
-        let restored = !restored_shards.is_empty();
-        if restored && restored_shards.len() != plan.n() as usize {
-            return Err(format!(
-                "only {} of {} shard manifest(s) present for {:?} — the store holds a torn \
-                 sharded state this daemon must not silently rebuild over",
-                restored_shards.len(),
-                plan.n(),
-                key.repr,
-            ));
-        }
+        // prior live state, reading them through the cache so the startup
+        // counters count every store read. With one shard the shard root
+        // IS `key.repr`, so this is exactly the classic monolithic resume.
+        let resumed = ShardedIndex::load(&cache, key.dataset, &key.repr, plan.n())?;
+        let restored = resumed.is_some();
         let monolith = if restored || plan.n() > 1 {
             None
         } else {
@@ -308,11 +254,8 @@ impl Engine {
         let startup = cache.stats();
         drop(cache);
         let (model, cleaner) = method.tokenizer();
-        let (idx, cold_split) = if restored {
-            (
-                ShardedIndex::from_shards(key.repr.clone(), plan, restored_shards)?,
-                false,
-            )
+        let (idx, cold_split) = if let Some(idx) = resumed {
+            (idx, false)
         } else if let Some(art) = monolith {
             // The raw query-side token sets back the delta probes;
             // re-tokenizing the view with the artifact's own model is
@@ -380,32 +323,18 @@ impl Engine {
         let cache = ArtifactCache::new();
         cache.set_store(Some(Arc::new(store)));
         let key = ArtifactKey::new(view.fingerprint(), method.repr_key());
-        let total = subset.total();
-        let mut shards = Vec::with_capacity(subset.members().len());
-        let mut missing: Vec<u32> = Vec::new();
-        for &s in subset.members() {
-            let base = shard_repr(&key.repr, s, total);
-            match Self::restore_segmented(&cache, key.dataset, &base)? {
-                Some(shard) => shards.push(shard),
-                None => missing.push(s),
-            }
-        }
-        if !missing.is_empty() {
-            let names: Vec<String> = missing
-                .iter()
-                .map(|s| format!("shard{s}/{total}"))
-                .collect();
-            return Err(format!(
-                "shard manifest(s) missing for {:?}: {} — subset {subset} needs a complete \
-                 persisted shard family (bootstrap it with `er supervise` or a full \
-                 `er serve --shards {total}` run first)",
-                key.repr,
-                names.join(", "),
-            ));
-        }
+        let idx = ShardedIndex::load_subset(&cache, key.dataset, &key.repr, subset.clone())?
+            .ok_or_else(|| {
+                format!(
+                    "no shard manifest persisted for {:?} — subset {subset} needs a complete \
+                     persisted shard family (bootstrap it with `er supervise` or a full \
+                     `er serve --shards {}` run first)",
+                    key.repr,
+                    subset.total(),
+                )
+            })?;
         let startup = cache.stats();
         drop(cache);
-        let idx = ShardedIndex::from_owned_shards(key.repr.clone(), subset.clone(), shards)?;
         let rows = idx.query_rows();
         let resident_bytes = idx.heap_bytes();
         Ok(Engine {

@@ -219,6 +219,15 @@ impl Shared {
                 "survivors_per_query".into(),
                 Json::Num(stats.lookup_work.survivors as f64 / stats.served.max(1) as f64),
             ),
+            // The totals behind the two ratios, which a merge proxy sums.
+            (
+                "lookup_touched".into(),
+                Json::Num(stats.lookup_work.touched as f64),
+            ),
+            (
+                "lookup_survivors".into(),
+                Json::Num(stats.lookup_work.survivors as f64),
+            ),
             ("rows".into(), Json::Num(self.engine.rows() as f64)),
             ("shards".into(), Json::Num(self.engine.n_shards() as f64)),
             (

@@ -9,7 +9,7 @@
 
 use crate::artifact::TokenSetsArtifact;
 use crate::representation::RepresentationModel;
-use crate::scancount::ScanCountScratch;
+use crate::scancount::{RowMask, ScanCountScratch};
 use crate::similarity::SimilarityMeasure;
 use er_core::filter::{Filter, FilterOutput, Prepared};
 use er_core::schema::TextView;
@@ -39,20 +39,19 @@ impl EpsilonJoin {
         )
     }
 
-    /// Candidates of one query row, appended to `out` in ascending index
-    /// order — exactly what the batch [`Filter::query`] loop records for
-    /// row `j` (which calls this), so an online lookup served from a
-    /// store-loaded artifact is byte-identical to the offline sweep by
-    /// construction. The hits arrive in first-touch order
-    /// ([`crate::scancount`]); only the ids that pass the filters are
-    /// sorted.
-    pub fn query_row_into(
+    /// The ε layer kernel, the one loop every ε path runs over a ScanCount
+    /// layer (`art`'s index probed with its query row `j`): per hit the
+    /// size window, the measure, the threshold and, last, the layer's
+    /// `dead` rows. `keep` gets every row that passes, in first-touch
+    /// order.
+    pub(crate) fn filter_layer(
         &self,
         art: &TokenSetsArtifact,
+        dead: &RowMask,
         j: usize,
         scratch: &mut ScanCountScratch,
         hits: &mut Vec<(u32, u32)>,
-        out: &mut Vec<u32>,
+        mut keep: impl FnMut(u32),
     ) {
         let qlen = art.query_sets.set_size(j);
         // Exact length filter: candidates whose cardinality cannot
@@ -61,17 +60,34 @@ impl EpsilonJoin {
         // argument).
         let (lo, hi) = self.measure.size_bounds(qlen, self.threshold);
         art.index.query_row_with(scratch, &art.query_sets, j, hits);
-        let appended = out.len();
         for &(i, overlap) in hits.iter() {
             let ilen = art.index.set_size(i);
             if ilen < lo || ilen > hi {
                 continue;
             }
             let sim = self.measure.compute(overlap as usize, ilen, qlen);
-            if sim >= self.threshold {
-                out.push(i);
+            if sim >= self.threshold && !dead.contains(i) {
+                keep(i);
             }
         }
+    }
+
+    /// Candidates of one query row, appended to `out` in ascending index
+    /// order — exactly what the batch [`Filter::query`] loop records for
+    /// row `j` (which calls this), and the layer kernel the segment stack
+    /// runs, so an online lookup is byte-identical to the offline sweep
+    /// by construction. The hits arrive in first-touch order
+    /// ([`crate::scancount`]); only the ids that pass are sorted.
+    pub fn query_row_into(
+        &self,
+        art: &TokenSetsArtifact,
+        j: usize,
+        scratch: &mut ScanCountScratch,
+        hits: &mut Vec<(u32, u32)>,
+        out: &mut Vec<u32>,
+    ) {
+        let appended = out.len();
+        self.filter_layer(art, &RowMask::default(), j, scratch, hits, |i| out.push(i));
         out[appended..].sort_unstable();
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::artifact::TokenSetsArtifact;
 use crate::representation::RepresentationModel;
-use crate::scancount::ScanCountScratch;
+use crate::scancount::{RowMask, ScanCountScratch};
 use crate::similarity::SimilarityMeasure;
 use er_core::filter::{Filter, FilterOutput, Prepared};
 use er_core::parallel::{self, Threads};
@@ -126,54 +126,54 @@ impl KnnJoin {
         scored.len()
     }
 
-    /// Scores one query row against the index into `scratch.scored`:
-    /// every positive-similarity candidate surviving the distinct-floor
-    /// length filter, in first-touch order.
-    ///
-    /// With `k = None` the length filter is off and the result is the full
-    /// positive-similarity candidate list (the rankings path).
-    pub(crate) fn score_query(
+    /// The kNN layer kernel, the one loop every kNN path runs over a
+    /// ScanCount layer (`art`'s index probed with its query row `j`): per
+    /// hit the size window the floor implies, the measure, the floor and,
+    /// last, the layer's `dead` rows. `keep` gets `(row, similarity)` of
+    /// every positive hit that passes, in first-touch order, and each one
+    /// feeds `floor` — which may carry over from earlier layers of the
+    /// row (exactness: [`crate::segmented`]). `None` prunes nothing.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn score_layer(
         &self,
         art: &TokenSetsArtifact,
+        dead: &RowMask,
         j: usize,
-        k: Option<usize>,
+        mut floor: Option<&mut DistinctFloor>,
         scratch: &mut ScanCountScratch,
         hits: &mut Vec<(u32, u32)>,
+        mut keep: impl FnMut(u32, f64),
     ) {
         let qlen = art.query_sets.set_size(j);
+        let mut cut = floor.as_deref().and_then(DistinctFloor::floor);
+        let mut bounds = cut.map(|f| self.measure.size_bounds(qlen, f));
         art.index.query_row_with(scratch, &art.query_sets, j, hits);
-        let mut floor = k.map(DistinctFloor::new);
-        let mut bounds: Option<(usize, usize)> = None;
-        let scored = &mut scratch.scored;
-        scored.clear();
         for &(i, overlap) in hits.iter() {
             let ilen = art.index.set_size(i);
-            if let Some((lo, hi)) = bounds {
-                if ilen < lo || ilen > hi {
-                    continue; // similarity provably below the k-th distinct
-                }
+            if bounds.is_some_and(|(lo, hi)| ilen < lo || ilen > hi) {
+                continue; // similarity provably below the k-th distinct
             }
             let sim = self.measure.compute(overlap as usize, ilen, qlen);
-            if sim <= 0.0 {
+            if sim <= 0.0 || cut.is_some_and(|f| sim < f) || dead.contains(i) {
                 continue;
             }
-            scored.push((i, sim));
-            if let Some(floor) = floor.as_mut() {
+            keep(i, sim);
+            if let Some(floor) = floor.as_deref_mut() {
                 if floor.observe(sim) {
-                    bounds = floor.floor().map(|f| self.measure.size_bounds(qlen, f));
+                    cut = floor.floor();
+                    bounds = cut.map(|f| self.measure.size_bounds(qlen, f));
                 }
             }
         }
     }
 
-    /// The selected neighbors of one query row — scoring plus the
-    /// distinct-top-K cut, exactly what the batch [`Filter::query`] path
-    /// computes for that row (which calls this), so an online lookup
-    /// served from a store-loaded artifact is byte-identical to the
-    /// offline sweep by construction. Entries are `(indexed id,
-    /// similarity)` sorted by descending similarity then ascending id;
-    /// with `RVS` the ids are still the indexed side's (E2 forward, E1
-    /// reversed) — orientation is the caller's concern.
+    /// The selected neighbors of one query row — the layer kernel plus
+    /// the distinct-top-K cut, exactly what the batch [`Filter::query`]
+    /// path computes for that row (which calls this), so an online lookup
+    /// is byte-identical to the offline sweep by construction. Entries
+    /// are `(indexed id, similarity)` sorted by descending similarity
+    /// then ascending id; with `RVS` the ids are still the indexed side's
+    /// (E2 forward, E1 reversed) — orientation is the caller's concern.
     pub fn query_row(
         &self,
         art: &TokenSetsArtifact,
@@ -181,9 +181,13 @@ impl KnnJoin {
         scratch: &mut ScanCountScratch,
         hits: &mut Vec<(u32, u32)>,
     ) -> Vec<(u32, f64)> {
-        self.score_query(art, j, Some(self.k), scratch, hits);
-        Self::select_top_k(self.k, &mut scratch.scored);
-        scratch.scored.clone()
+        let (mut scored, mut floor) = (Vec::new(), DistinctFloor::new(self.k));
+        let live = RowMask::default();
+        self.score_layer(art, &live, j, Some(&mut floor), scratch, hits, |i, sim| {
+            scored.push((i, sim))
+        });
+        Self::select_top_k(self.k, &mut scored);
+        scored
     }
 }
 
@@ -215,13 +219,24 @@ impl KnnJoin {
             parallel::par_map_chunks_with(Threads::get(), rows, chunk, |offset, part| {
                 let mut scratch = ScanCountScratch::default();
                 let mut hits: Vec<(u32, u32)> = Vec::new();
+                let mut scored: Vec<(u32, f64)> = Vec::new();
+                let live = RowMask::default();
                 (0..part.len())
                     .map(|local| {
-                        self.score_query(artifact, offset + local, None, &mut scratch, &mut hits);
+                        scored.clear();
+                        let j = offset + local;
+                        self.score_layer(
+                            artifact,
+                            &live,
+                            j,
+                            None,
+                            &mut scratch,
+                            &mut hits,
+                            |i, s| scored.push((i, s)),
+                        );
                         // Cut to the best `max_neighbors` first, then
                         // order those: the order is total, so this is
                         // the prefix a full sort would leave.
-                        let scored = &mut scratch.scored;
                         if max_neighbors < scored.len() {
                             scored.select_nth_unstable_by(max_neighbors, by_rank);
                             scored.truncate(max_neighbors);
@@ -477,15 +492,45 @@ mod tests {
                 let mut scratch = ScanCountScratch::default();
                 let mut hits = Vec::new();
                 for j in 0..art.query_sets.len() {
-                    join.score_query(art, j, Some(k), &mut scratch, &mut hits);
-                    let mut filtered = scratch.scored.clone();
-                    join.score_query(art, j, None, &mut scratch, &mut hits);
-                    let mut unfiltered = scratch.scored.clone();
-                    KnnJoin::select_top_k(k, &mut filtered);
-                    KnnJoin::select_top_k(k, &mut unfiltered);
+                    let mut score = |floor: Option<&mut DistinctFloor>| {
+                        let mut scored = Vec::new();
+                        let live = RowMask::default();
+                        join.score_layer(art, &live, j, floor, &mut scratch, &mut hits, |i, s| {
+                            scored.push((i, s))
+                        });
+                        KnnJoin::select_top_k(k, &mut scored);
+                        scored
+                    };
+                    let filtered = score(Some(&mut DistinctFloor::new(k)));
+                    let unfiltered = score(None);
                     assert_eq!(filtered, unfiltered, "{} k={k} j={j}", measure.name());
                 }
             }
         }
+    }
+
+    #[test]
+    fn dead_rows_neither_answer_nor_feed_the_floor() {
+        // Row 0 ties the query exactly but is dead: the kernel must keep
+        // the best live row, and the floor it leaves must be that row's.
+        let join = join(1, false);
+        let prepared = join.prepare(&view());
+        let art = prepared.downcast::<TokenSetsArtifact>();
+        let mut dead = RowMask::default();
+        dead.insert(0, art.index.len());
+        let mut floor = DistinctFloor::new(1);
+        let mut kept = Vec::new();
+        let (mut scratch, mut hits) = (ScanCountScratch::default(), Vec::new());
+        join.score_layer(
+            art,
+            &dead,
+            0,
+            Some(&mut floor),
+            &mut scratch,
+            &mut hits,
+            |i, s| kept.push((i, s)),
+        );
+        assert_eq!(kept, vec![(1, 2.0 / 3.0)]);
+        assert_eq!(floor.floor(), Some(2.0 / 3.0));
     }
 }

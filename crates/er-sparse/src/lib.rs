@@ -56,8 +56,8 @@ pub use packed::PackedRows;
 pub use representation::RepresentationModel;
 pub use scancount::{ScanCountIndex, ScanCountScratch};
 pub use segmented::{
-    MergeCursor, MergeScratch, PendingCompaction, PersistReport, QueryCounters, SegmentedTokenSets,
-    SparseManifest, SparseSegment,
+    ArtifactSource, MergeCursor, MergeScratch, PendingCompaction, PersistReport, QueryCounters,
+    SegmentedTokenSets, SparseManifest, SparseSegment,
 };
 pub use sharded::{ShardedCursor, ShardedIndex};
 pub use similarity::SimilarityMeasure;

@@ -28,7 +28,7 @@ use crate::csr::{CsrRows, CsrTokenSets, TokenInterner};
 use er_core::parallel::{self, Threads};
 
 /// Per-caller scratch for ScanCount queries: the overlap-count workhorse
-/// buffer, plus the scoring buffer of the kNN join that runs on top of it.
+/// buffer.
 ///
 /// Splitting the scratch out of the index lets queries run on `&self`, so
 /// parallel workers share one read-only index while each owns a scratch
@@ -38,10 +38,36 @@ use er_core::parallel::{self, Threads};
 pub struct ScanCountScratch {
     /// Overlap count per indexed entity; zero except while a query runs.
     counts: Vec<u32>,
-    /// `(entity, similarity)` of the row [`crate::KnnJoin`] is scoring:
-    /// as long as the hit list, so it is kept here instead of allocated
-    /// per query.
-    pub(crate) scored: Vec<(u32, f64)>,
+}
+
+/// The rows of one ScanCount layer that must not answer — in a segment
+/// stack, shadowed or tombstoned rows. Holds no words while none is set.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct RowMask {
+    words: Vec<u64>,
+}
+
+impl RowMask {
+    /// True when row `row` is suppressed.
+    #[inline]
+    pub(crate) fn contains(&self, row: u32) -> bool {
+        self.words
+            .get(row as usize / 64)
+            .is_some_and(|w| w & (1 << (row % 64)) != 0)
+    }
+
+    /// Suppresses row `row` of a layer of `rows` rows.
+    pub(crate) fn insert(&mut self, row: u32, rows: usize) {
+        if self.words.is_empty() {
+            self.words = vec![0; rows.div_ceil(64)];
+        }
+        self.words[row as usize / 64] |= 1 << (row % 64);
+    }
+
+    /// Number of suppressed rows.
+    pub(crate) fn count(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
 }
 
 /// An inverted index over the token sets of one entity collection (see

@@ -21,54 +21,55 @@
 //!   so a serving process keeps answering lookups while the fold runs.
 //!   Planning fires the `compact/<base_repr>` fault site before reading
 //!   anything.
-//! * **Queries** merge per-segment results with the delta under an
-//!   ownership map: each live stable id is owned by exactly one layer
-//!   (the newest one holding it), so shadowed rows and tombstoned rows
-//!   are suppressed and every candidate set is *bitwise identical* to a
-//!   full rebuild over the net dataset (the property tests below check
-//!   this at 1 and 8 threads, with and without a store round-trip).
+//! * **Queries** run every segment through the join's one layer kernel
+//!   (`EpsilonJoin::filter_layer`, `KnnJoin::score_layer` — the loop the
+//!   offline batch path runs over a monolithic artifact), then probe the
+//!   delta. Shadowed and tombstoned rows are suppressed (see *Liveness*),
+//!   so every candidate set is *bitwise identical* to a full rebuild over
+//!   the net dataset (the property tests below check this at 1 and 8
+//!   threads, with and without a store round-trip).
 //! * **Persistence** writes each segment as its own store file (codec 10)
 //!   plus a [`SparseManifest`] (codec 11) holding the stack's seqs, the
 //!   delta, the tombstones and the raw query sets. The manifest write is
 //!   the atomic adoption point: segments written by an interrupted
 //!   compaction are never referenced and `er store gc` collects them.
 //!
+//! ## Liveness
+//!
+//! A stable id is live in at most one layer: the delta if it holds the
+//! id, else the newest segment holding it, unless tombstoned. Beside each
+//! `Arc<SparseSegment>` sits a bitmap of its dead rows, derived, never
+//! persisted: flush, compaction apply and restore recompute it from stack
+//! order, delta keys and tombstones; upsert and delete mark the newest
+//! holder's row in place (binary search of its ascending `ids`). A
+//! segment with nothing dead holds no words: one segment with an empty
+//! delta and no tombstones allocates nothing at open.
+//!
 //! ## kNN across segments
 //!
-//! A segment is never scored with its own distinct-floor pruning
-//! ([`KnnJoin::score_query`]'s `k`): a shadowed or tombstoned
-//! high-similarity candidate inside one segment could tighten that
-//! segment's floor and prune a live candidate that belongs in the global
-//! top-k. [`MergeCursor::knn_row`] instead keeps one floor for the whole
-//! row, fed only by rows that passed the ownership test. That floor is
-//! the k-th distinct similarity of *some* live rows, so it can only be
-//! at or below the final one, and a hit strictly below it is strictly
-//! below the final cut whoever owns it — such a hit is dropped before
-//! the ownership probe, everything else is probed. The merged, owned
-//! list then goes through the same [`KnnJoin::select_top_k`] cut as the
-//! monolithic path. The ε-join's tests are an absolute threshold per
-//! candidate, exact under any partitioning, so there the ownership
-//! probe simply runs last, on the few hits that passed.
-//!
-//! Both row kernels follow the sparse stack's *filter, then order*
-//! contract ([`crate::scancount`]): hits arrive unsorted, the cheap
-//! arithmetic tests run first, the hash probe next, and only what
-//! survives is sorted.
+//! One [`DistinctFloor`] spans the layers of a row, and the kernel tests
+//! liveness last, so only live rows feed it: a dead high-similarity copy
+//! would otherwise raise it and cut a live row of the top k. The floor is
+//! then the k-th distinct similarity of *some* live rows — at or below
+//! the final cut — so a hit strictly below it, or outside the size window
+//! it implies, is below the final cut whichever layer holds it. The
+//! merged rows go through the monolithic [`KnnJoin::select_top_k`] cut.
+//! For ε, liveness is simply the last conjunct of an absolute test.
 
 use crate::artifact::TokenSetsArtifact;
 use crate::epsilon::EpsilonJoin;
 use crate::knn::{DistinctFloor, KnnJoin};
-use crate::scancount::{ScanCountIndex, ScanCountScratch};
+use crate::scancount::{RowMask, ScanCountIndex, ScanCountScratch};
 use crate::store::{SparseManifestCodec, SPARSE_MANIFEST_CODEC_ID};
-use er_core::artifacts::{ArtifactKey, DiskTier, TierLoad};
+use er_core::artifacts::{ArtifactCache, ArtifactKey, DiskTier, TierLoad};
 use er_core::faults;
-use er_core::hash::FastMap;
 use er_core::parallel;
 use er_core::timing::PhaseBreakdown;
 use er_store::store::ArtifactCodec;
 use er_store::{ArtifactStore, OpenMode, StoreMeta};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The store repr key of the segment with sequence number `seq` under a
 /// segmented index rooted at `base` (the monolithic artifact's repr key).
@@ -152,13 +153,80 @@ impl SparseSegment {
     }
 }
 
-/// Which layer owns (i.e. answers for) a live stable id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Owner {
-    /// The mutable delta holds the newest version of the row.
-    Delta,
-    /// The segment with this seq holds the newest version.
-    Seg(u64),
+/// One segment of the stack with its dead rows (module docs, *Liveness*).
+#[derive(Debug)]
+struct Sealed {
+    segment: Arc<SparseSegment>,
+    /// Dead rows by dense row id; no words while none is dead.
+    dead: RowMask,
+}
+
+impl Sealed {
+    fn new(segment: Arc<SparseSegment>) -> Self {
+        Sealed {
+            segment,
+            dead: RowMask::default(),
+        }
+    }
+}
+
+/// Marks dead the newest segment row holding `id` — the only copy that
+/// can still be live, every older one being shadowed by it.
+fn suppress(segments: &mut [Sealed], id: u32) {
+    for sealed in segments.iter_mut().rev() {
+        if let Ok(row) = sealed.segment.ids.binary_search(&id) {
+            sealed.dead.insert(row as u32, sealed.segment.len());
+            return;
+        }
+    }
+}
+
+/// Where a restore reads manifests and segments from: a store, or a
+/// cache in front of one whose counters then record every read.
+pub trait ArtifactSource {
+    /// The stored artifact under `key`.
+    fn fetch(&self, key: &ArtifactKey) -> TierLoad;
+}
+
+impl ArtifactSource for ArtifactStore {
+    fn fetch(&self, key: &ArtifactKey) -> TierLoad {
+        self.load(key)
+    }
+}
+
+impl ArtifactSource for ArtifactCache {
+    fn fetch(&self, key: &ArtifactKey) -> TierLoad {
+        match self.lookup(key) {
+            Some(Ok(prepared)) => TierLoad::Hit {
+                prepared,
+                saved: Duration::ZERO,
+            },
+            Some(Err(msg)) => TierLoad::Failed(msg),
+            None => TierLoad::Miss,
+        }
+    }
+}
+
+/// The one batch runner of the segment and shard stacks: `row(cursor, j)`
+/// for every query row, one `cursor()` per deterministic chunk, outputs
+/// in row order — byte-identical for any `threads`.
+pub(crate) fn batch_rows<C, T: Send>(
+    rows: usize,
+    threads: usize,
+    cursor: impl Fn() -> C + Sync,
+    row: impl Fn(&mut C, usize) -> T + Sync,
+) -> Vec<T> {
+    let row_ids: Vec<usize> = (0..rows).collect();
+    let chunk = parallel::query_chunk_len(rows);
+    parallel::par_map_chunks_with(threads, &row_ids, chunk, |_, part| {
+        let mut cursor = cursor();
+        part.iter()
+            .map(|&j| row(&mut cursor, j))
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// A planned compaction: the folded segment plus the snapshots needed to
@@ -264,8 +332,9 @@ pub struct SegmentedTokenSets {
     /// store keys of every segment and the manifest derive from it.
     base_repr: String,
     /// Immutable segments in stack order (oldest data first: flushes
-    /// append, compaction replaces the folded prefix).
-    segments: Vec<Arc<SparseSegment>>,
+    /// append, compaction replaces the folded prefix), each with its dead
+    /// rows.
+    segments: Vec<Sealed>,
     /// Mutable rows not yet folded into a segment, by stable id.
     delta: BTreeMap<u32, Vec<u64>>,
     /// Deleted stable ids still present in some segment. Disjoint from
@@ -275,12 +344,6 @@ pub struct SegmentedTokenSets {
     query_raw: Vec<Vec<u64>>,
     /// Next unused segment sequence number.
     next_seq: u64,
-    /// Live stable id -> owning layer. Rebuilt after every structural
-    /// change; queries consult it to suppress shadowed/tombstoned rows.
-    owner: FastMap<u32, Owner>,
-    /// Every stable id present in any segment (live or tombstoned); the
-    /// set tombstones must stay within to remain meaningful.
-    in_segments: BTreeSet<u32>,
 }
 
 impl SegmentedTokenSets {
@@ -294,8 +357,6 @@ impl SegmentedTokenSets {
             tombstones: BTreeSet::new(),
             query_raw,
             next_seq: 0,
-            owner: FastMap::default(),
-            in_segments: BTreeSet::new(),
         }
     }
 
@@ -319,10 +380,19 @@ impl SegmentedTokenSets {
             index: arc.index.clone(),
         });
         let segment = SparseSegment { seq: 0, ids, art };
+        Self::from_segment(base_repr, Arc::new(segment), query_raw)
+    }
+
+    /// Wraps one segment (which interned `query_raw`) as a stack with an
+    /// empty delta and no tombstones: nothing dead, nothing allocated.
+    pub fn from_segment(
+        base_repr: impl Into<String>,
+        segment: Arc<SparseSegment>,
+        query_raw: Vec<Vec<u64>>,
+    ) -> Self {
         let mut this = Self::new(base_repr, query_raw);
-        this.next_seq = 1;
-        this.segments.push(Arc::new(segment));
-        this.rebuild_owner();
+        this.next_seq = segment.seq + 1;
+        this.segments.push(Sealed::new(segment));
         this
     }
 
@@ -348,7 +418,8 @@ impl SegmentedTokenSets {
 
     /// Live (query-visible) rows across all layers.
     pub fn live_rows(&self) -> usize {
-        self.owner.len()
+        let live = |s: &Sealed| s.segment.len() - s.dead.count();
+        self.segments.iter().map(live).sum::<usize>() + self.delta.len()
     }
 
     /// Query rows this index answers for.
@@ -363,11 +434,14 @@ impl SegmentedTokenSets {
 
     /// Deterministic heap estimate for cache budgeting: exact segment
     /// footprints plus flat estimates of the delta, tombstones and raw
-    /// queries. The derived ownership maps are rebuildable bookkeeping
+    /// queries. The derived dead-row bitmaps are rebuildable bookkeeping
     /// and deliberately excluded, keeping the figure a pure function of
     /// the persisted state (so a store round-trip budgets identically).
     pub fn heap_bytes(&self) -> usize {
-        self.segments.iter().map(|s| s.heap_bytes()).sum::<usize>()
+        self.segments
+            .iter()
+            .map(|s| s.segment.heap_bytes())
+            .sum::<usize>()
             + delta_heap_bytes(self.delta.values().map(Vec::len))
             + self.tombstones.len() * 4
             + query_heap_bytes(&self.query_raw)
@@ -387,7 +461,7 @@ impl SegmentedTokenSets {
         faults::fire("delta/apply");
         self.tombstones.remove(&id);
         self.delta.insert(id, tokens);
-        self.owner.insert(id, Owner::Delta);
+        suppress(&mut self.segments, id);
     }
 
     /// Deletes the row `id` (a no-op id is fine). Fires `delta/apply`
@@ -401,29 +475,33 @@ impl SegmentedTokenSets {
     pub fn delete(&mut self, id: u32) {
         faults::fire("delta/apply");
         self.delta.remove(&id);
-        self.owner.remove(&id);
         self.tombstones.insert(id);
+        suppress(&mut self.segments, id);
     }
 
-    /// Recomputes `owner`/`in_segments` from scratch: segments in stack
-    /// order (newer overwrite older), then the delta on top, then prunes
-    /// tombstones that no longer suppress anything.
-    fn rebuild_owner(&mut self) {
-        self.owner.clear();
-        self.in_segments.clear();
-        for seg in &self.segments {
-            for &id in &seg.ids {
-                self.in_segments.insert(id);
-                if !self.tombstones.contains(&id) {
-                    self.owner.insert(id, Owner::Seg(seg.seq));
-                }
+    /// Recomputes every segment's dead rows from stack order, delta keys
+    /// and tombstones, and prunes tombstones no segment backs.
+    fn rebuild_liveness(&mut self) {
+        let segments = &self.segments;
+        self.tombstones.retain(|id| {
+            segments
+                .iter()
+                .any(|s| s.segment.ids.binary_search(id).is_ok())
+        });
+        for sealed in &mut self.segments {
+            sealed.dead = RowMask::default();
+        }
+        // Each id of a segment kills its newest older copy; that copy's
+        // own older copies die when its segment's turn comes.
+        for newer in 1..self.segments.len() {
+            let (older, rest) = self.segments.split_at_mut(newer);
+            for &id in &rest[0].segment.ids {
+                suppress(older, id);
             }
         }
-        for &id in self.delta.keys() {
-            self.owner.insert(id, Owner::Delta);
+        for &id in self.delta.keys().chain(&self.tombstones) {
+            suppress(&mut self.segments, id);
         }
-        let in_segments = &self.in_segments;
-        self.tombstones.retain(|id| in_segments.contains(id));
     }
 
     /// Folds the delta into a fresh immutable segment appended to the
@@ -437,8 +515,8 @@ impl SegmentedTokenSets {
         let rows: Vec<(u32, Vec<u64>)> = std::mem::take(&mut self.delta).into_iter().collect();
         let segment = SparseSegment::build(self.next_seq, rows, &self.query_raw);
         self.next_seq += 1;
-        self.segments.push(Arc::new(segment));
-        self.rebuild_owner();
+        self.segments.push(Sealed::new(Arc::new(segment)));
+        self.rebuild_liveness();
         true
     }
 
@@ -452,31 +530,30 @@ impl SegmentedTokenSets {
             return None;
         }
         self.fire_compact();
-        let by_seq: FastMap<u64, usize> = self
-            .segments
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.seq, i))
-            .collect();
+        // Every live id with the layer answering for it: a segment row,
+        // or `None` for the delta.
+        let mut live: Vec<(u32, Option<(usize, usize)>)> = Vec::with_capacity(self.live_rows());
+        for (s, sealed) in self.segments.iter().enumerate() {
+            let rows = sealed.segment.ids.iter().enumerate();
+            live.extend(
+                rows.filter(|&(row, _)| !sealed.dead.contains(row as u32))
+                    .map(|(row, &id)| (id, Some((s, row)))),
+            );
+        }
+        live.extend(self.delta.keys().map(|&id| (id, None)));
+        live.sort_unstable_by_key(|&(id, _)| id);
         // Interner hashes are recovered lazily, once per segment that
         // still owns at least one row.
         let mut tokens_cache: Vec<Option<Vec<u64>>> = vec![None; self.segments.len()];
-        let mut live: Vec<u32> = self.owner.keys().copied().collect();
-        live.sort_unstable();
         let rows: Vec<(u32, Vec<u64>)> = live
             .into_iter()
-            .map(|id| {
-                let set = match self.owner[&id] {
-                    Owner::Delta => self.delta[&id].clone(),
-                    Owner::Seg(seq) => {
-                        let si = by_seq[&seq];
-                        let seg = &self.segments[si];
+            .map(|(id, layer)| {
+                let set = match layer {
+                    None => self.delta[&id].clone(),
+                    Some((s, row)) => {
+                        let seg = &self.segments[s].segment;
                         let tokens =
-                            tokens_cache[si].get_or_insert_with(|| seg.art.index.raw_parts().0);
-                        let row = seg
-                            .ids
-                            .binary_search(&id)
-                            .expect("owner points into segment");
+                            tokens_cache[s].get_or_insert_with(|| seg.art.index.raw_parts().0);
                         seg.raw_row(row, tokens)
                     }
                 };
@@ -489,7 +566,7 @@ impl SegmentedTokenSets {
             .map(|(id, set)| (*id, set.clone()))
             .collect();
         Some(PendingCompaction {
-            folded_seqs: self.segments.iter().map(|s| s.seq).collect(),
+            folded_seqs: self.segments.iter().map(|s| s.segment.seq).collect(),
             folded_delta,
             segment: Arc::new(SparseSegment::build(self.next_seq, rows, &self.query_raw)),
         })
@@ -507,11 +584,11 @@ impl SegmentedTokenSets {
             segment,
         } = pending;
         self.next_seq = self.next_seq.max(segment.seq + 1);
-        let mut stack = vec![segment];
+        let mut stack = vec![Sealed::new(segment)];
         stack.extend(
             std::mem::take(&mut self.segments)
                 .into_iter()
-                .filter(|s| !folded_seqs.contains(&s.seq)),
+                .filter(|s| !folded_seqs.contains(&s.segment.seq)),
         );
         self.segments = stack;
         for (id, set) in folded_delta {
@@ -519,7 +596,7 @@ impl SegmentedTokenSets {
                 self.delta.remove(&id);
             }
         }
-        self.rebuild_owner();
+        self.rebuild_liveness();
     }
 
     /// Plan + apply in one step (the offline path). Returns `true` when a
@@ -550,30 +627,24 @@ impl SegmentedTokenSets {
     /// list per row, chunked over `threads` workers (byte-identical for
     /// any worker count).
     pub fn epsilon_batch(&self, join: &EpsilonJoin, threads: usize) -> Vec<Vec<u32>> {
-        let chunk = parallel::query_chunk_len(self.query_raw.len());
-        let per_chunk =
-            parallel::par_map_chunks_with(threads, &self.query_raw, chunk, |offset, part| {
-                let mut cursor = self.cursor();
-                (0..part.len())
-                    .map(|local| cursor.epsilon_row(join, offset + local))
-                    .collect::<Vec<_>>()
-            });
-        per_chunk.into_iter().flatten().collect()
+        batch_rows(
+            self.query_rows(),
+            threads,
+            || self.cursor(),
+            |c, j| c.epsilon_row(join, j),
+        )
     }
 
     /// kNN neighbors for every query row: `(stable id, similarity)`
     /// sorted by descending similarity then ascending id, chunked over
     /// `threads` workers (byte-identical for any worker count).
     pub fn knn_batch(&self, join: &KnnJoin, threads: usize) -> Vec<Vec<(u32, f64)>> {
-        let chunk = parallel::query_chunk_len(self.query_raw.len());
-        let per_chunk =
-            parallel::par_map_chunks_with(threads, &self.query_raw, chunk, |offset, part| {
-                let mut cursor = self.cursor();
-                (0..part.len())
-                    .map(|local| cursor.knn_row(join, offset + local))
-                    .collect::<Vec<_>>()
-            });
-        per_chunk.into_iter().flatten().collect()
+        batch_rows(
+            self.query_rows(),
+            threads,
+            || self.cursor(),
+            |c, j| c.knn_row(join, j),
+        )
     }
 
     /// The manifest describing the current state (segments by reference).
@@ -581,7 +652,7 @@ impl SegmentedTokenSets {
         SparseManifest {
             next_seq: self.next_seq,
             base_repr: self.base_repr.clone(),
-            segment_seqs: self.segments.iter().map(|s| s.seq).collect(),
+            segment_seqs: self.segments.iter().map(|s| s.segment.seq).collect(),
             tombstones: self.tombstones.iter().copied().collect(),
             delta: self
                 .delta
@@ -614,7 +685,7 @@ impl SegmentedTokenSets {
             _ => Vec::new(),
         };
         let mut report = PersistReport::default();
-        for seg in &self.segments {
+        for seg in self.segments.iter().map(|s| &s.segment) {
             let key = ArtifactKey::new(dataset, segment_repr(&self.base_repr, seg.seq));
             let prepared = er_core::filter::Prepared::from_arc(
                 Arc::clone(seg) as Arc<dyn std::any::Any + Send + Sync>,
@@ -651,25 +722,28 @@ impl SegmentedTokenSets {
         Ok(report)
     }
 
-    /// Restores a segmented index from its manifest plus segment files.
+    /// Restores a segmented index from its manifest plus segment files,
+    /// read through `source` (a store, or a cache in front of one).
     /// `Ok(None)` when no manifest is stored under this key; a present
-    /// but unreadable manifest, or a referenced segment that fails to
-    /// load, is a structured error (callers fall back to a full rebuild).
-    pub fn load(
-        store: &ArtifactStore,
+    /// but unreadable manifest, or a referenced segment that is missing or
+    /// fails to load, is a structured error.
+    pub fn load<S: ArtifactSource + ?Sized>(
+        source: &S,
         dataset: u64,
         base_repr: &str,
     ) -> Result<Option<Self>, String> {
         let manifest_key = ArtifactKey::new(dataset, manifest_repr(base_repr));
-        let manifest = match store.load(&manifest_key) {
+        let manifest = match source.fetch(&manifest_key) {
             TierLoad::Miss => return Ok(None),
-            TierLoad::Failed(msg) => return Err(msg),
+            TierLoad::Failed(msg) => {
+                return Err(format!("manifest {} unusable: {msg}", manifest_key.repr))
+            }
             TierLoad::Hit { prepared, .. } => prepared.downcast::<SparseManifest>().clone(),
         };
         let mut segments = Vec::with_capacity(manifest.segment_seqs.len());
         for &seq in &manifest.segment_seqs {
             let key = ArtifactKey::new(dataset, segment_repr(base_repr, seq));
-            let segment = match store.load(&key) {
+            let segment = match source.fetch(&key) {
                 TierLoad::Hit { prepared, .. } => prepared
                     .arc()
                     .downcast::<SparseSegment>()
@@ -677,36 +751,14 @@ impl SegmentedTokenSets {
                 TierLoad::Miss => {
                     return Err(format!("manifest references missing segment {}", key.repr))
                 }
-                TierLoad::Failed(msg) => return Err(msg),
+                TierLoad::Failed(msg) => {
+                    return Err(format!("segment {} unusable: {msg}", key.repr))
+                }
             };
-            segments.push(segment);
-        }
-        Self::from_parts(manifest, segments).map(Some)
-    }
-
-    /// Assembles the index from a decoded manifest plus its segments, in
-    /// manifest order — the shared tail of [`SegmentedTokenSets::load`]
-    /// and cache-mediated restores (the serving daemon loads the manifest
-    /// and segments through the artifact cache so its startup counters
-    /// stay honest).
-    pub fn from_parts(
-        manifest: SparseManifest,
-        segments: Vec<Arc<SparseSegment>>,
-    ) -> Result<Self, String> {
-        if segments.len() != manifest.segment_seqs.len() {
-            return Err(format!(
-                "manifest lists {} segment(s), got {}",
-                manifest.segment_seqs.len(),
-                segments.len(),
-            ));
-        }
-        for (seg, &seq) in segments.iter().zip(&manifest.segment_seqs) {
-            if seg.seq != seq {
-                return Err(format!(
-                    "segment seq {} does not match manifest order (expected {seq})",
-                    seg.seq,
-                ));
+            if segment.seq != seq {
+                return Err(format!("segment {} holds seq {}", key.repr, segment.seq));
             }
+            segments.push(Sealed::new(segment));
         }
         let next_seq = manifest
             .segment_seqs
@@ -721,11 +773,9 @@ impl SegmentedTokenSets {
             tombstones: manifest.tombstones.into_iter().collect(),
             query_raw: manifest.query_raw,
             next_seq,
-            owner: FastMap::default(),
-            in_segments: BTreeSet::new(),
         };
-        this.rebuild_owner();
-        Ok(this)
+        this.rebuild_liveness();
+        Ok(Some(this))
     }
 }
 
@@ -776,132 +826,102 @@ pub struct MergeCursor<'a> {
     scratch: MergeScratch,
 }
 
+/// `(stable id, overlap, |row|)` of every delta row sharing a token with
+/// the raw `query` — what a ScanCount layer over the delta would report.
+/// `sorted` holds the query's tokens in order for the binary searches;
+/// both sides are duplicate-free, so each count is exactly `|A ∩ B|`.
+fn delta_hits<'a>(
+    delta: &'a BTreeMap<u32, Vec<u64>>,
+    query: &[u64],
+    sorted: &'a mut Vec<u64>,
+) -> impl Iterator<Item = (u32, usize, usize)> + 'a {
+    sorted.clear();
+    sorted.extend_from_slice(query);
+    sorted.sort_unstable();
+    let sorted: &'a [u64] = sorted;
+    delta.iter().filter_map(move |(&id, tokens)| {
+        let overlap = tokens
+            .iter()
+            .filter(|t| sorted.binary_search(t).is_ok())
+            .count();
+        (overlap > 0).then_some((id, overlap, tokens.len()))
+    })
+}
+
 impl MergeCursor<'_> {
     /// Releases the cursor's scratch for reuse with a later cursor.
     pub fn into_scratch(self) -> MergeScratch {
         self.scratch
     }
 
-    /// Sorts the raw tokens of query row `j` into the scratch for the
-    /// delta's binary-search overlap counting.
-    fn sort_query(&mut self, j: usize) {
-        self.scratch.sorted_query.clear();
-        self.scratch
-            .sorted_query
-            .extend_from_slice(&self.seg.query_raw[j]);
-        self.scratch.sorted_query.sort_unstable();
-    }
-
-    /// Set overlap of a delta row with the (sorted) query tokens. Both
-    /// sides are duplicate-free, so the count is exactly `|A ∩ B|` — the
-    /// same integer ScanCount produces for this pair in a full rebuild.
-    fn delta_overlap(tokens: &[u64], sorted_query: &[u64]) -> usize {
-        tokens
-            .iter()
-            .filter(|t| sorted_query.binary_search(t).is_ok())
-            .count()
-    }
-
     /// ε-join candidates of query row `j`: live stable ids, ascending —
     /// bitwise what [`EpsilonJoin::query_row_into`] yields on a full
     /// rebuild (dense ids map monotonically to stable ids).
     pub fn epsilon_row(&mut self, join: &EpsilonJoin, j: usize) -> Vec<u32> {
+        let (stack, scratch) = (self.seg, &mut self.scratch);
         let mut out = Vec::new();
-        let qlen = self.seg.query_raw[j].len();
-        let (lo, hi) = join.measure.size_bounds(qlen, join.threshold);
-        for seg in &self.seg.segments {
-            seg.art.index.query_row_with(
-                &mut self.scratch.scan,
-                &seg.art.query_sets,
+        for sealed in &stack.segments {
+            let ids = &sealed.segment.ids;
+            join.filter_layer(
+                &sealed.segment.art,
+                &sealed.dead,
                 j,
-                &mut self.scratch.hits,
+                &mut scratch.scan,
+                &mut scratch.hits,
+                |i| out.push(ids[i as usize]),
             );
-            self.scratch.counters.touched += self.scratch.hits.len() as u64;
-            for &(i, overlap) in self.scratch.hits.iter() {
-                let ilen = seg.art.index.set_size(i);
-                if ilen < lo || ilen > hi {
-                    continue;
-                }
-                let sim = join.measure.compute(overlap as usize, ilen, qlen);
-                if sim < join.threshold {
-                    continue;
-                }
-                // The hash probe last: nearly every hit is gone by now.
-                let id = seg.ids[i as usize];
-                if self.seg.owner.get(&id) == Some(&Owner::Seg(seg.seq)) {
-                    out.push(id); // else shadowed by a newer layer, or tombstoned
-                }
-            }
+            scratch.counters.touched += scratch.hits.len() as u64;
         }
-        if !self.seg.delta.is_empty() {
-            self.sort_query(j);
-            for (&id, tokens) in &self.seg.delta {
-                let overlap = Self::delta_overlap(tokens, &self.scratch.sorted_query);
-                if overlap == 0 {
-                    continue; // ScanCount never surfaces disjoint pairs
-                }
-                let ilen = tokens.len();
-                if ilen < lo || ilen > hi {
-                    continue;
-                }
-                let sim = join.measure.compute(overlap, ilen, qlen);
-                if sim >= join.threshold {
+        if !stack.delta.is_empty() {
+            let query = &stack.query_raw[j];
+            let (lo, hi) = join.measure.size_bounds(query.len(), join.threshold);
+            for (id, overlap, ilen) in delta_hits(&stack.delta, query, &mut scratch.sorted_query) {
+                if (lo..=hi).contains(&ilen)
+                    && join.measure.compute(overlap, ilen, query.len()) >= join.threshold
+                {
                     out.push(id);
                 }
             }
         }
         out.sort_unstable();
-        self.scratch.counters.survivors += out.len() as u64;
+        scratch.counters.survivors += out.len() as u64;
         out
     }
 
     /// kNN neighbors of query row `j`: `(stable id, similarity)` after
     /// the global distinct-top-k cut — bitwise what [`KnnJoin::query_row`]
     /// yields on a full rebuild. One distinct floor spans the layers and
-    /// sees owned rows only (see module docs for why that is what keeps
+    /// sees live rows only (see module docs for why that is what keeps
     /// the cut exact under suppression).
     pub fn knn_row(&mut self, join: &KnnJoin, j: usize) -> Vec<(u32, f64)> {
-        let qlen = self.seg.query_raw[j].len();
+        let (stack, scratch) = (self.seg, &mut self.scratch);
         let mut floor = DistinctFloor::new(join.k);
-        self.scratch.merged.clear();
-        for seg in &self.seg.segments {
-            seg.art.index.query_row_with(
-                &mut self.scratch.scan,
-                &seg.art.query_sets,
+        scratch.merged.clear();
+        for sealed in &stack.segments {
+            let (ids, merged) = (&sealed.segment.ids, &mut scratch.merged);
+            join.score_layer(
+                &sealed.segment.art,
+                &sealed.dead,
                 j,
-                &mut self.scratch.hits,
+                Some(&mut floor),
+                &mut scratch.scan,
+                &mut scratch.hits,
+                |i, sim| merged.push((ids[i as usize], sim)),
             );
-            self.scratch.counters.touched += self.scratch.hits.len() as u64;
-            for &(i, overlap) in self.scratch.hits.iter() {
-                let sim = join
-                    .measure
-                    .compute(overlap as usize, seg.art.index.set_size(i), qlen);
-                if sim <= 0.0 || floor.floor().is_some_and(|f| sim < f) {
-                    continue;
-                }
-                let id = seg.ids[i as usize];
-                if self.seg.owner.get(&id) == Some(&Owner::Seg(seg.seq)) {
-                    floor.observe(sim);
-                    self.scratch.merged.push((id, sim));
-                }
-            }
+            scratch.counters.touched += scratch.hits.len() as u64;
         }
-        if !self.seg.delta.is_empty() {
-            self.sort_query(j);
-            for (&id, tokens) in &self.seg.delta {
-                let overlap = Self::delta_overlap(tokens, &self.scratch.sorted_query);
-                if overlap == 0 {
-                    continue;
-                }
-                let sim = join.measure.compute(overlap, tokens.len(), qlen);
+        if !stack.delta.is_empty() {
+            let query = &stack.query_raw[j];
+            for (id, overlap, ilen) in delta_hits(&stack.delta, query, &mut scratch.sorted_query) {
+                let sim = join.measure.compute(overlap, ilen, query.len());
                 if sim > 0.0 {
-                    self.scratch.merged.push((id, sim));
+                    scratch.merged.push((id, sim));
                 }
             }
         }
-        KnnJoin::select_top_k(join.k, &mut self.scratch.merged);
-        self.scratch.counters.survivors += self.scratch.merged.len() as u64;
-        self.scratch.merged.clone()
+        KnnJoin::select_top_k(join.k, &mut scratch.merged);
+        scratch.counters.survivors += scratch.merged.len() as u64;
+        scratch.merged.clone()
     }
 }
 
@@ -995,14 +1015,35 @@ mod tests {
             .collect()
     }
 
+    /// The rows `seg` answers for — the live row of each segment and the
+    /// delta — with the token sets they answer with.
+    fn live_sets(seg: &SegmentedTokenSets) -> BTreeMap<u32, Vec<u64>> {
+        let mut live = BTreeMap::new();
+        for sealed in &seg.segments {
+            let tokens = sealed.segment.art.index.raw_parts().0;
+            for (row, &id) in sealed.segment.ids.iter().enumerate() {
+                if !sealed.dead.contains(row as u32) {
+                    let set = sealed.segment.raw_row(row, &tokens);
+                    assert!(live.insert(id, set).is_none(), "{id} live twice");
+                }
+            }
+        }
+        for (&id, set) in &seg.delta {
+            assert!(live.insert(id, set.clone()).is_none(), "{id} live twice");
+        }
+        live
+    }
+
     /// Asserts every query row of `seg` is bitwise equal to the oracle at
-    /// 1 and 8 threads, for a spread of join configurations.
+    /// 1 and 8 threads, for a spread of join configurations, and that the
+    /// rows it answers for are exactly the net rows.
     fn assert_matches_oracle(seg: &SegmentedTokenSets, rows: &BTreeMap<u32, Vec<u64>>) {
         let query_raw: Vec<Vec<u64>> = (0..seg.query_rows())
             .map(|j| seg.query_raw(j).to_vec())
             .collect();
         let (art, ids) = oracle(rows, &query_raw);
         assert_eq!(seg.live_rows(), rows.len(), "live-row accounting");
+        assert_eq!(&live_sets(seg), rows, "live rows and their token sets");
         for join in [
             epsilon(0.0, SimilarityMeasure::Jaccard),
             epsilon(0.34, SimilarityMeasure::Cosine),
@@ -1173,6 +1214,11 @@ mod tests {
         .into_iter()
         .collect();
         assert_eq!((seg.segment_count(), seg.live_rows()), (1, 3));
+        assert_eq!(
+            seg.segments[0].dead,
+            RowMask::default(),
+            "nothing dead, nothing held"
+        );
         assert_matches_oracle(&seg, &net);
         seg.upsert(1, toks("c d brand new"));
         net.insert(1, toks("c d brand new"));
@@ -1203,8 +1249,8 @@ mod tests {
         // 1.0 from inside the segment — they pass the size window, the
         // threshold and any kNN floor — and neither is live: 0 is
         // tombstoned, 9 is shadowed by a delta row that shares nothing
-        // with the query. Only the ownership probe can drop them, and
-        // with the arithmetic tests now ahead of it, it must still run.
+        // with the query. Only the liveness bit can drop them, and with
+        // the arithmetic tests ahead of it, it must still be tested.
         let mut seg = SegmentedTokenSets::new("sparse:test", queries());
         let mut net = BTreeMap::new();
         for (id, text) in [
@@ -1340,11 +1386,23 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Replays `ops` on a fresh index and on the net rows. Op 4 plans a
+    /// compaction and applies it after the next `id % 4` ops, so upserts
+    /// and deletes land between plan and apply as they do on the serving
+    /// lane; a flush or another plan first applies the one in flight (the
+    /// lane is single-flight).
     fn apply_ops(ops: &[(u8, u32, String)]) -> (SegmentedTokenSets, BTreeMap<u32, Vec<u64>>) {
         let mut seg = SegmentedTokenSets::new("sparse:test", queries());
         let mut net = BTreeMap::new();
+        let mut pending: Option<(PendingCompaction, u32)> = None;
         for (op, id, text) in ops {
-            match op % 4 {
+            let op = op % 5;
+            if op >= 3 {
+                if let Some((plan, _)) = pending.take() {
+                    seg.apply_compact(plan);
+                }
+            }
+            match op {
                 0 | 1 => {
                     seg.upsert(*id, toks(text));
                     net.insert(*id, toks(text));
@@ -1353,14 +1411,27 @@ mod tests {
                     seg.delete(*id);
                     net.remove(id);
                 }
-                _ => {
+                3 => {
                     if *id % 2 == 0 {
                         seg.flush();
                     } else {
                         seg.compact();
                     }
                 }
+                _ => pending = seg.plan_compact().map(|plan| (plan, id % 4)),
             }
+            if let Some((_, after)) = pending.as_mut() {
+                if *after == 0 {
+                    let (plan, _) = pending.take().expect("a plan in flight");
+                    seg.apply_compact(plan);
+                } else {
+                    *after -= 1;
+                }
+            }
+            assert_eq!(live_sets(&seg), net, "after {op} on {id}");
+        }
+        if let Some((plan, _)) = pending {
+            seg.apply_compact(plan);
         }
         (seg, net)
     }
@@ -1369,13 +1440,14 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Acceptance property: any interleaving of upserts, deletes,
-        /// flushes and compactions yields candidate sets bitwise
+        /// flushes and compactions — planned compactions applied some
+        /// ops later included — yields candidate sets bitwise
         /// identical to a full re-prepare of the net dataset, at 1 and 8
         /// threads (inside the oracle comparison), with and without a
         /// store round-trip standing in for a process restart.
         #[test]
         fn any_op_interleaving_matches_full_rebuild(
-            ops in proptest::collection::vec((0u8..4, 0u32..24, "[a-e ]{0,12}"), 1..40),
+            ops in proptest::collection::vec((0u8..5, 0u32..24, "[a-e ]{0,12}"), 1..40),
             restart in any::<bool>(),
         ) {
             let (seg, net) = apply_ops(&ops);

@@ -39,10 +39,9 @@
 use crate::epsilon::EpsilonJoin;
 use crate::knn::KnnJoin;
 use crate::segmented::{
-    MergeCursor, MergeScratch, PendingCompaction, PersistReport, SegmentedTokenSets,
-    SparseManifest, SparseSegment,
+    batch_rows, ArtifactSource, MergeCursor, MergeScratch, PendingCompaction, PersistReport,
+    SegmentedTokenSets, SparseSegment,
 };
-use er_core::parallel;
 use er_core::shard::{shard_repr, ShardPlan, ShardSubset};
 use er_store::ArtifactStore;
 use std::sync::Arc;
@@ -88,7 +87,9 @@ impl ShardedIndex {
                 // Segment rows must be ascending by stable id; the
                 // caller's emission order carries no meaning.
                 part.sort_unstable_by_key(|(id, _)| *id);
-                Self::shard_from_rows(&base_repr, &plan, s as u32, part, query_raw.clone())
+                let segment = Arc::new(SparseSegment::build(0, part, &query_raw));
+                let root = shard_repr(&base_repr, s as u32, plan.n());
+                SegmentedTokenSets::from_segment(root, segment, query_raw.clone())
             })
             .collect();
         ShardedIndex {
@@ -96,30 +97,6 @@ impl ShardedIndex {
             base_repr,
             shards,
         }
-    }
-
-    /// One shard as a fresh single-segment [`SegmentedTokenSets`] rooted
-    /// at the shard-qualified repr.
-    fn shard_from_rows(
-        base_repr: &str,
-        plan: &ShardPlan,
-        shard: u32,
-        rows: Vec<(u32, Vec<u64>)>,
-        query_raw: Vec<Vec<u64>>,
-    ) -> SegmentedTokenSets {
-        let segment = SparseSegment::build(0, rows, &query_raw);
-        SegmentedTokenSets::from_parts(
-            SparseManifest {
-                next_seq: 1,
-                base_repr: shard_repr(base_repr, shard, plan.n()),
-                segment_seqs: vec![0],
-                tombstones: Vec::new(),
-                delta: Vec::new(),
-                query_raw,
-            },
-            vec![Arc::new(segment)],
-        )
-        .expect("fresh single-segment manifest is consistent")
     }
 
     /// Wraps already-assembled shards. The shard count must match the
@@ -320,26 +297,25 @@ impl ShardedIndex {
         Ok(total)
     }
 
-    /// Restores a sharded index from per-shard manifests. `Ok(None)`
-    /// when *no* shard manifest exists; a partial set (some shards
-    /// present, some missing) is a structured error — the store holds a
-    /// torn state a caller must not silently rebuild over.
-    pub fn load(
-        store: &ArtifactStore,
+    /// Restores a sharded index from per-shard manifests read through
+    /// `source` (a store, or a cache in front of one). `Ok(None)` when
+    /// *no* shard manifest exists; a partial set is a
+    /// [`torn_family_error`].
+    pub fn load<S: ArtifactSource + ?Sized>(
+        source: &S,
         dataset: u64,
         base_repr: &str,
         n_shards: u32,
     ) -> Result<Option<Self>, String> {
-        Self::load_subset(store, dataset, base_repr, ShardSubset::full(n_shards))
+        Self::load_subset(source, dataset, base_repr, ShardSubset::full(n_shards))
     }
 
-    /// Restores only the shards of `subset` from their per-shard
-    /// manifests — the restore-only open a multi-process serving child
-    /// uses. `Ok(None)` when *no* owned manifest exists (a clean miss);
-    /// any partial set is a structured error naming the missing shards,
-    /// never a silently smaller collection.
-    pub fn load_subset(
-        store: &ArtifactStore,
+    /// Restores only the shards of `subset` — the restore-only open a
+    /// multi-process serving child uses. `Ok(None)` when *no* owned
+    /// manifest exists (a clean miss); any partial set is a
+    /// [`torn_family_error`], never a silently smaller collection.
+    pub fn load_subset<S: ArtifactSource + ?Sized>(
+        source: &S,
         dataset: u64,
         base_repr: &str,
         subset: ShardSubset,
@@ -348,7 +324,7 @@ impl ShardedIndex {
         let mut shards = Vec::with_capacity(subset.members().len());
         let mut missing: Vec<u32> = Vec::new();
         for &s in subset.members() {
-            match SegmentedTokenSets::load(store, dataset, &shard_repr(base_repr, s, total))? {
+            match SegmentedTokenSets::load(source, dataset, &shard_repr(base_repr, s, total))? {
                 Some(shard) => shards.push(shard),
                 None => missing.push(s),
             }
@@ -357,16 +333,7 @@ impl ShardedIndex {
             return Ok(None);
         }
         if !missing.is_empty() {
-            let names: Vec<String> = missing
-                .iter()
-                .map(|s| format!("shard{s}/{total}"))
-                .collect();
-            return Err(format!(
-                "{} of {} shard manifest(s) missing for {base_repr:?}: {}",
-                missing.len(),
-                subset.members().len(),
-                names.join(", ")
-            ));
+            return Err(torn_family_error(base_repr, total, &missing));
         }
         Self::from_owned_shards(base_repr, subset, shards).map(Some)
     }
@@ -395,33 +362,42 @@ impl ShardedIndex {
     /// chunked over `threads` workers — byte-identical for any worker
     /// count *and any shard count* (see module docs).
     pub fn epsilon_batch(&self, join: &EpsilonJoin, threads: usize) -> Vec<Vec<u32>> {
-        let rows = self.query_rows();
-        let row_ids: Vec<usize> = (0..rows).collect();
-        let chunk = parallel::query_chunk_len(rows);
-        let per_chunk = parallel::par_map_chunks_with(threads, &row_ids, chunk, |_, part| {
-            let mut cursor = self.cursor();
-            part.iter()
-                .map(|&j| cursor.epsilon_row(join, j))
-                .collect::<Vec<_>>()
-        });
-        per_chunk.into_iter().flatten().collect()
+        batch_rows(
+            self.query_rows(),
+            threads,
+            || self.cursor(),
+            |c, j| c.epsilon_row(join, j),
+        )
     }
 
     /// kNN neighbors for every query row, fanned across shards and
     /// chunked over `threads` workers — byte-identical for any worker
     /// count and any shard count.
     pub fn knn_batch(&self, join: &KnnJoin, threads: usize) -> Vec<Vec<(u32, f64)>> {
-        let rows = self.query_rows();
-        let row_ids: Vec<usize> = (0..rows).collect();
-        let chunk = parallel::query_chunk_len(rows);
-        let per_chunk = parallel::par_map_chunks_with(threads, &row_ids, chunk, |_, part| {
-            let mut cursor = self.cursor();
-            part.iter()
-                .map(|&j| cursor.knn_row(join, j))
-                .collect::<Vec<_>>()
-        });
-        per_chunk.into_iter().flatten().collect()
+        batch_rows(
+            self.query_rows(),
+            threads,
+            || self.cursor(),
+            |c, j| c.knn_row(join, j),
+        )
     }
+}
+
+/// The one refusal for a torn shard family — some shard manifests
+/// persisted, others missing: an interrupted multi-shard persist.
+/// Rebuilding over it could serve a smaller collection or mix index
+/// generations, so it names every missing `shard{i}/{n}` instead.
+pub fn torn_family_error(base_repr: &str, total: u32, missing: &[u32]) -> String {
+    let names: Vec<String> = missing
+        .iter()
+        .map(|s| format!("shard{s}/{total}"))
+        .collect();
+    format!(
+        "torn shard family for {base_repr:?}: manifest(s) missing for {} — refusing to serve \
+         or rebuild over a partial persist; re-run a full `er serve --shards {total}` (or \
+         remove the family's manifests) to rebuild it",
+        names.join(", "),
+    )
 }
 
 /// Per-worker fan-out cursor: one merge cursor per shard, consulted in

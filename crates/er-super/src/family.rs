@@ -62,20 +62,9 @@ pub fn probe_family(
     })
 }
 
-/// The structured refusal for a torn family: names every missing shard
-/// so the operator knows exactly which persist was interrupted.
-pub fn torn_error(base_repr: &str, shards: u32, missing: &[u32]) -> String {
-    let names: Vec<String> = missing
-        .iter()
-        .map(|s| format!("shard{s}/{shards}"))
-        .collect();
-    format!(
-        "torn shard family for {base_repr:?}: manifest(s) missing for {} — refusing to start \
-         any child over a partial persist; re-run a full `er serve --shards {shards}` (or \
-         remove the family's manifests) to rebuild it",
-        names.join(", "),
-    )
-}
+/// The structured refusal for a torn family: the same text a serving
+/// engine's restore gives, naming every missing shard.
+pub use er::sparse::sharded::torn_family_error as torn_error;
 
 /// Ensures a complete `shards`-way family exists for `view`+`method`,
 /// bootstrapping it from the monolithic sweep artifact when absent and

@@ -51,6 +51,8 @@ const SUMMED_CHILD_STATS: &[&str] = &[
     "delta_rows",
     "tombstones",
     "live_rows",
+    "lookup_touched",
+    "lookup_survivors",
 ];
 
 /// Proxy-level counters (distinct from the child counters it relays).
@@ -414,6 +416,13 @@ impl Shared {
         }
         let proxy = self.stats.lock().expect("stats lock").clone();
         let restarts: u64 = self.slots.iter().map(|s| s.restarts()).sum();
+        let per_lookup = |key: &str| {
+            let summed = SUMMED_CHILD_STATS
+                .iter()
+                .position(|k| *k == key)
+                .map_or(0.0, |i| sums[i]);
+            Json::Num(summed / proxy.served.max(1) as f64)
+        };
         let mut fields: Vec<(String, Json)> = SUMMED_CHILD_STATS
             .iter()
             .zip(&sums)
@@ -454,6 +463,11 @@ impl Shared {
                 ),
             ),
             ("proxy_served".into(), Json::Num(proxy.served as f64)),
+            // Every child touches and keeps rows for every lookup the
+            // proxy serves, so the per-lookup figures divide the summed
+            // totals by the proxy's count, not the children's.
+            ("touched_per_query".into(), per_lookup("lookup_touched")),
+            ("survivors_per_query".into(), per_lookup("lookup_survivors")),
             ("proxy_failed".into(), Json::Num(proxy.failed as f64)),
             ("proxy_timeouts".into(), Json::Num(proxy.timeouts as f64)),
             (

@@ -287,6 +287,8 @@ fn concurrent_tcp_lookups_are_byte_identical_and_leave_the_store_untouched() {
     let kept: usize = expected.iter().map(Vec::len).sum();
     let survivors = stats.get("survivors_per_query").and_then(Json::as_f64);
     assert_eq!(survivors, Some(kept as f64 / rows as f64));
+    let total = stats.get("lookup_survivors").and_then(Json::as_f64);
+    assert_eq!(total, Some(kept as f64), "the total behind the ratio");
     let touched = stats.get("touched_per_query").and_then(Json::as_f64);
     assert!(
         touched >= survivors,

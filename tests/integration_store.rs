@@ -278,15 +278,50 @@ fn section_digest(
     let store = er_bench::open_store(&dir).expect("open store");
     let key = ArtifactKey::new(view.fingerprint(), filter.repr_key());
     assert!(store.store(&key, &filter.prepare(view)).expect("store"));
-    let file = er::store::StoreFile::open(&store.file_path(&key)).expect("open file");
+    let digest = file_digest(&store.file_path(&key));
+    let _ = std::fs::remove_dir_all(&dir);
+    digest
+}
+
+/// XXH64 over every encoded section of the store file at `path`.
+fn file_digest(path: &Path) -> u64 {
+    let file = er::store::StoreFile::open(path).expect("open file");
     let mut hash = er::store::xxh::Xxh64Stream::default();
     for (i, info) in file.sections().iter().enumerate() {
         hash.update(info.dtype.name().as_bytes());
         hash.update(&info.len.to_le_bytes());
         hash.update(file.section_bytes(i).expect("section"));
     }
-    let _ = std::fs::remove_dir_all(&dir);
     hash.finish()
+}
+
+/// Section digests of the two files a persisted segment stack writes:
+/// its one segment (codec 10) and a manifest (codec 11) that carries
+/// delta rows and tombstones as well as the raw query sets.
+fn segment_stack_digests(view: &er::core::schema::TextView) -> (u64, u64) {
+    use er::core::artifacts::ArtifactKey;
+    use er::sparse::segmented::{manifest_repr, segment_repr};
+    let model = er::sparse::RepresentationModel::parse("T1G").expect("T1G");
+    let toks = |text: &str| model.token_set(text, &er::text::Cleaner::off());
+    let dir = scratch_dir("digest10");
+    let store = er_bench::open_store(&dir).expect("open store");
+    let mut stack =
+        er::sparse::SegmentedTokenSets::new("pin/T1G", view.e2.iter().map(|t| toks(t)).collect());
+    for (i, text) in view.e1.iter().enumerate() {
+        stack.upsert(i as u32, toks(text));
+    }
+    assert!(stack.flush());
+    stack.upsert(3, toks("canon replacement row"));
+    stack.upsert(900, toks("a fresh delta row"));
+    stack.delete(7);
+    stack.delete(11);
+    stack.persist(&store, 42).expect("persist");
+    let digests = (
+        file_digest(&store.file_path(&ArtifactKey::new(42, segment_repr("pin/T1G", 0)))),
+        file_digest(&store.file_path(&ArtifactKey::new(42, manifest_repr("pin/T1G")))),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    digests
 }
 
 /// "Same bytes on disk" asserted, not assumed: the digests below were
@@ -333,4 +368,7 @@ fn encoded_sections_match_the_frozen_digests() {
         4_628_786_987_096_702_592,
         "codec 9 sections"
     );
+    let (segment, manifest) = segment_stack_digests(&view);
+    assert_eq!(segment, 5_682_393_334_694_566_053, "codec 10 sections");
+    assert_eq!(manifest, 526_103_554_562_236_986, "codec 11 sections");
 }
