@@ -226,11 +226,8 @@ impl Settings {
                     s.queries = Some(n);
                 }
                 "--threshold" => {
-                    let t: f64 = parsed("--threshold", &value("--threshold")?)?;
-                    if !(t > 0.0 && t <= 1.0) {
-                        return Err("--threshold must be in (0, 1]".to_owned());
-                    }
-                    s.threshold = Some(t);
+                    let t = parsed("--threshold", &value("--threshold")?)?;
+                    s.threshold = Some(check_threshold(t)?);
                 }
                 _ => s.flags.push(arg),
             }
@@ -304,6 +301,18 @@ impl Settings {
             fp.push_str(&format!(";threshold={threshold}"));
         }
         fp
+    }
+}
+
+/// Checks an ε-Join `--threshold`: a similarity in (0, 1]. NaN, ±∞ and
+/// values outside the range are refused instead of yielding an empty or
+/// an everything-sharing-a-token candidate set. `er sweep`, `er filter`,
+/// `er serve` and `er supervise` share this one check and its message.
+pub fn check_threshold(t: f64) -> Result<f64, String> {
+    if t > 0.0 && t <= 1.0 {
+        Ok(t)
+    } else {
+        Err(format!("--threshold must be in (0, 1], got {t}"))
     }
 }
 

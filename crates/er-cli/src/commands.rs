@@ -5,6 +5,7 @@ use er::core::io::{read_entities_with, read_pairs_with, write_entities, write_pa
 use er::core::schema::{SchemaMode, TextView};
 use er::core::Threads;
 use er::prelude::*;
+use er_bench::settings::check_threshold;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
@@ -181,7 +182,7 @@ fn build_filter(flags: &Flags) -> Result<Box<dyn Filter>, String> {
             cleaning,
             model,
             measure: SimilarityMeasure::Cosine,
-            threshold: flags.parse_or("threshold", 0.4)?,
+            threshold: check_threshold(flags.parse_or("threshold", 0.4)?)?,
         }),
         "knn" => Box::new(KnnJoin {
             cleaning,
@@ -545,7 +546,7 @@ fn serve_setup(flags: &Flags) -> Result<ServeSetup, String> {
             cleaning,
             model,
             measure: SimilarityMeasure::Cosine,
-            threshold: flags.parse_or("threshold", 0.4)?,
+            threshold: check_threshold(flags.parse_or("threshold", 0.4)?)?,
         }),
         "knn" => er_serve::ServeMethod::Knn(KnnJoin {
             cleaning,
@@ -867,6 +868,52 @@ mod tests {
         let entities = load_entities(p, true).expect("lenient");
         assert_eq!(entities.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The ε thresholds every command refuses with the sweep's message.
+    const BAD_THRESHOLDS: [&str; 6] = ["NaN", "inf", "-inf", "-3", "0", "1.5"];
+
+    fn assert_threshold_refused(result: Result<(), String>, t: &str) {
+        let err = result.expect_err(t);
+        assert!(err.contains("--threshold must be in (0, 1]"), "{t}: {err}");
+        assert!(!err.contains('\n'), "single-line: {err:?}");
+    }
+
+    #[test]
+    fn filter_refuses_thresholds_outside_the_unit_interval() {
+        let dir = std::env::temp_dir().join(format!("er-cli-threshold-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let csv = dir.join("entities.csv");
+        std::fs::write(&csv, "name\napple iphone\nsamsung galaxy\n").expect("write");
+        let csv = csv.to_str().expect("utf8");
+        let out = dir.join("pairs.csv");
+        let out = out.to_str().expect("utf8");
+        let run = |t: &str| {
+            let args = ["--e1", csv, "--e2", csv, "--method", "epsilon"];
+            filter(&s(&[&args[..], &["--threshold", t, "--out", out]].concat()))
+        };
+        for t in BAD_THRESHOLDS {
+            assert_threshold_refused(run(t), t);
+        }
+        assert!(!Path::new(out).exists(), "no candidate file is written");
+        run("1").expect("ε = 1 is valid");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn serve_refuses_thresholds_outside_the_unit_interval() {
+        for t in BAD_THRESHOLDS {
+            let args = ["--store-dir", "unused", "--profile", "D1", "--threshold", t];
+            assert_threshold_refused(serve(&s(&args)), t);
+        }
+    }
+
+    #[test]
+    fn supervise_refuses_thresholds_outside_the_unit_interval() {
+        for t in BAD_THRESHOLDS {
+            let args = ["--store-dir", "unused", "--profile", "D1", "--threshold", t];
+            assert_threshold_refused(supervise(&s(&args)), t);
+        }
     }
 
     #[test]

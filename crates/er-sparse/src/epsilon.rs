@@ -2,10 +2,23 @@
 //! similarity is at least a user-defined threshold ε.
 //!
 //! Built on ScanCount: index `E1`'s token sets, probe with every `E2`
-//! entity, convert overlaps to similarities and keep those `≥ ε`. All exact
-//! ε-join algorithms produce the same candidate set; ScanCount is chosen
-//! because ER-optimal thresholds are low (paper: mostly below 0.5), where
-//! prefix-filter techniques lose their advantage.
+//! entity and keep the hits whose similarity is `≥ ε`. All exact ε-join
+//! algorithms produce the same candidate set; ScanCount is chosen because
+//! ER-optimal thresholds are low (paper: mostly below 0.5), where
+//! prefix-filter techniques lose their advantage. On the served
+//! configuration (D10, T1G, Cosine, ε = 0.4) the minimum overlap is about
+//! 2, so a prefix probe skips barely one of a row's ~11 known tokens and
+//! still touches most of what ScanCount touches.
+//!
+//! What ScanCount cannot avoid is one test per touched row, so that test
+//! is one integer compare. Before a row is probed,
+//! `SimilarityMeasure::min_overlaps` turns the measure, `|q|` and ε into
+//! a table of the least overlap that keeps a hit, per indexed set size
+//! (`u32::MAX` outside the size window); the layer kernel then keeps hit
+//! `(i, o)` iff `o >= need[|i|]` and `i` is live. The table is built with
+//! the same `compute(..) >= ε` test the kernel used to run per hit, so
+//! answers are bit-identical, and it costs `O(window + |q|)` similarity
+//! evaluations per row instead of one per touched row.
 
 use crate::artifact::TokenSetsArtifact;
 use crate::representation::RepresentationModel;
@@ -39,11 +52,23 @@ impl EpsilonJoin {
         )
     }
 
+    /// Builds the decision table [`Self::filter_layer`] reads for a query
+    /// row of cardinality `qlen`, over layers whose largest indexed set
+    /// has `max_len` tokens: once per row, whatever the number of layers
+    /// (see `SimilarityMeasure::min_overlaps` for why one integer compare
+    /// per hit decides exactly what the size window and the similarity
+    /// test decided).
+    pub(crate) fn prepare_row(&self, qlen: usize, max_len: usize, scratch: &mut ScanCountScratch) {
+        self.measure
+            .min_overlaps(qlen, self.threshold, max_len, &mut scratch.min_overlap);
+    }
+
     /// The ε layer kernel, the one loop every ε path runs over a ScanCount
-    /// layer (`art`'s index probed with its query row `j`): per hit the
-    /// size window, the measure, the threshold and, last, the layer's
-    /// `dead` rows. `keep` gets every row that passes, in first-touch
-    /// order.
+    /// layer (`art`'s index probed with its query row `j`): per hit one
+    /// compare of its overlap against the row's table, built by
+    /// [`Self::prepare_row`] for row `j` and a `max_len` of at least this
+    /// layer's largest set, then the layer's `dead` rows. `keep` gets
+    /// every row that passes, in first-touch order.
     pub(crate) fn filter_layer(
         &self,
         art: &TokenSetsArtifact,
@@ -53,20 +78,11 @@ impl EpsilonJoin {
         hits: &mut Vec<(u32, u32)>,
         mut keep: impl FnMut(u32),
     ) {
-        let qlen = art.query_sets.set_size(j);
-        // Exact length filter: candidates whose cardinality cannot
-        // reach ε are skipped before the similarity is computed
-        // (see `SimilarityMeasure::size_bounds` for the exactness
-        // argument).
-        let (lo, hi) = self.measure.size_bounds(qlen, self.threshold);
+        debug_assert!(scratch.min_overlap.len() > art.index.max_set_size());
         art.index.query_row_with(scratch, &art.query_sets, j, hits);
+        let need = &scratch.min_overlap;
         for &(i, overlap) in hits.iter() {
-            let ilen = art.index.set_size(i);
-            if ilen < lo || ilen > hi {
-                continue;
-            }
-            let sim = self.measure.compute(overlap as usize, ilen, qlen);
-            if sim >= self.threshold && !dead.contains(i) {
+            if overlap >= need[art.index.set_size(i)] && !dead.contains(i) {
                 keep(i);
             }
         }
@@ -87,6 +103,8 @@ impl EpsilonJoin {
         out: &mut Vec<u32>,
     ) {
         let appended = out.len();
+        let qlen = art.query_sets.set_size(j);
+        self.prepare_row(qlen, art.index.max_set_size(), scratch);
         self.filter_layer(art, &RowMask::default(), j, scratch, hits, |i| out.push(i));
         out[appended..].sort_unstable();
     }

@@ -38,6 +38,10 @@ use er_core::parallel::{self, Threads};
 pub struct ScanCountScratch {
     /// Overlap count per indexed entity; zero except while a query runs.
     counts: Vec<u32>,
+    /// The ε-Join decision table of the query row in progress: the least
+    /// overlap that keeps a hit, by indexed set size
+    /// (`SimilarityMeasure::min_overlaps`).
+    pub(crate) min_overlap: Vec<u32>,
 }
 
 /// The rows of one ScanCount layer that must not answer — in a segment
@@ -82,6 +86,9 @@ pub struct ScanCountIndex {
     postings: CsrRows,
     /// Token-set cardinality `|A|` per indexed entity.
     set_sizes: Vec<u32>,
+    /// The largest entry of `set_sizes` (0 when empty); derived, never
+    /// persisted.
+    max_set_size: usize,
 }
 
 impl ScanCountIndex {
@@ -138,11 +145,7 @@ impl ScanCountIndex {
         let index_sets =
             CsrTokenSets::new(CsrRows::new(row_offsets, row_tokens), set_sizes.clone());
         (
-            Self {
-                interner,
-                postings: CsrRows::new(offsets, postings),
-                set_sizes,
-            },
+            Self::from_parts(interner, CsrRows::new(offsets, postings), set_sizes),
             index_sets,
         )
     }
@@ -186,6 +189,12 @@ impl ScanCountIndex {
         self.set_sizes[i as usize] as usize
     }
 
+    /// The largest token-set cardinality of any indexed entity.
+    #[inline]
+    pub(crate) fn max_set_size(&self) -> usize {
+        self.max_set_size
+    }
+
     /// Heap footprint in bytes for artifact-cache budgeting: the postings
     /// and the `set_sizes` array are exact; only the interner term is an
     /// estimate (see [`TokenInterner::heap_bytes`]).
@@ -214,10 +223,21 @@ impl ScanCountIndex {
         postings: CsrRows,
         set_sizes: Vec<u32>,
     ) -> Self {
-        Self {
-            interner: TokenInterner::from_tokens_by_id(interner_tokens),
+        Self::from_parts(
+            TokenInterner::from_tokens_by_id(interner_tokens),
             postings,
             set_sizes,
+        )
+    }
+
+    /// Assembles an index and derives `max_set_size`.
+    fn from_parts(interner: TokenInterner, postings: CsrRows, set_sizes: Vec<u32>) -> Self {
+        let max_set_size = set_sizes.iter().copied().max().unwrap_or(0) as usize;
+        Self {
+            interner,
+            postings,
+            set_sizes,
+            max_set_size,
         }
     }
 

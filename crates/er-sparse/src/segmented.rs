@@ -859,6 +859,17 @@ impl MergeCursor<'_> {
     /// rebuild (dense ids map monotonically to stable ids).
     pub fn epsilon_row(&mut self, join: &EpsilonJoin, j: usize) -> Vec<u32> {
         let (stack, scratch) = (self.seg, &mut self.scratch);
+        let query = &stack.query_raw[j];
+        // One table for the row, long enough for every segment's largest
+        // set and every delta row.
+        let max_len = stack
+            .segments
+            .iter()
+            .map(|s| s.segment.art.index.max_set_size())
+            .chain(stack.delta.values().map(Vec::len))
+            .max()
+            .unwrap_or(0);
+        join.prepare_row(query.len(), max_len, &mut scratch.scan);
         let mut out = Vec::new();
         for sealed in &stack.segments {
             let ids = &sealed.segment.ids;
@@ -873,12 +884,9 @@ impl MergeCursor<'_> {
             scratch.counters.touched += scratch.hits.len() as u64;
         }
         if !stack.delta.is_empty() {
-            let query = &stack.query_raw[j];
-            let (lo, hi) = join.measure.size_bounds(query.len(), join.threshold);
+            let need = &scratch.scan.min_overlap;
             for (id, overlap, ilen) in delta_hits(&stack.delta, query, &mut scratch.sorted_query) {
-                if (lo..=hi).contains(&ilen)
-                    && join.measure.compute(overlap, ilen, query.len()) >= join.threshold
-                {
+                if overlap as u32 >= need[ilen] {
                     out.push(id);
                 }
             }

@@ -87,6 +87,47 @@ impl SimilarityMeasure {
         };
         (lo, hi)
     }
+
+    /// The ε-Join decision table for a query set of cardinality `len_b`:
+    /// after the call, `need[a]` for every candidate cardinality
+    /// `a ≤ max_len` is the least overlap `o ≤ min(a, len_b)` such that
+    /// `a` lies in [`Self::size_bounds`] and
+    /// `self.compute(o, a, len_b) >= threshold` — or `u32::MAX` where no
+    /// overlap qualifies. A hit of overlap `o` against a set of
+    /// cardinality `a` then passes exactly when `o >= need[a]`.
+    ///
+    /// For all three measures `compute` is non-decreasing in the overlap
+    /// and, at a fixed overlap, non-increasing in `a` — in `f64` too,
+    /// since every formula divides an exact integer by an exact integer
+    /// (or the `sqrt` of one) and correct rounding is monotone. So the
+    /// least qualifying overlap never shrinks as `a` grows, and one
+    /// pointer walks both ranges: `O(window + len_b)` calls of `compute`.
+    /// Every entry is decided by the same `>= threshold` test the
+    /// per-hit check used, never by `<`, so a NaN threshold, which fails
+    /// every `>=`, fills the table with `u32::MAX`.
+    pub(crate) fn min_overlaps(
+        &self,
+        len_b: usize,
+        threshold: f64,
+        max_len: usize,
+        need: &mut Vec<u32>,
+    ) {
+        need.clear();
+        need.resize(max_len + 1, u32::MAX);
+        let (lo, hi) = self.size_bounds(len_b, threshold);
+        let window = need.get_mut(lo..=hi.min(max_len)).unwrap_or_default();
+        let mut o = 0;
+        for (a, slot) in (lo..).zip(window) {
+            let passes = |o| self.compute(o, a, len_b) >= threshold;
+            let most = a.min(len_b);
+            while o <= most && !passes(o) {
+                o += 1;
+            }
+            if o <= most {
+                *slot = o as u32;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -171,6 +212,37 @@ mod tests {
             SimilarityMeasure::Cosine.size_bounds(0, 0.5),
             (0, usize::MAX)
         );
+    }
+
+    #[test]
+    fn min_overlap_table_is_the_per_hit_predicate() {
+        // Every threshold shape the kernel can be handed, including the
+        // ones `size_bounds` special-cases (≤ 0, > 1) and those every
+        // `>=` fails (NaN, +∞).
+        let mut thresholds = vec![-0.5, 0.0, 1e-9, 1.0, 1.5, f64::NAN, f64::INFINITY];
+        thresholds.extend((1..100).map(|k| f64::from(k) / 100.0));
+        let mut need = Vec::new();
+        for m in SimilarityMeasure::ALL {
+            for &t in &thresholds {
+                for len_b in 0usize..=64 {
+                    m.min_overlaps(len_b, t, 128, &mut need);
+                    assert_eq!(need.len(), 129);
+                    let (lo, hi) = m.size_bounds(len_b, t);
+                    for (a, &need_a) in need.iter().enumerate().skip(1) {
+                        for o in 0..=a.min(len_b) {
+                            // The per-hit test the table replaces.
+                            let kept = (lo..=hi).contains(&a) && m.compute(o, a, len_b) >= t;
+                            assert_eq!(
+                                o as u32 >= need_a,
+                                kept,
+                                "{} t={t} |q|={len_b} a={a} o={o} need={need_a}",
+                                m.name(),
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
