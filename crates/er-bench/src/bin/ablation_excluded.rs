@@ -13,7 +13,7 @@
 
 use er::blocking::SortedNeighborhood;
 use er::core::metrics::evaluate;
-use er::core::optimize::Optimizer;
+use er::core::optimize::{OptimizationOutcome, Optimizer};
 use er::core::schema::{text_view, SchemaMode};
 use er::core::{Effectiveness, Filter};
 use er::datagen::generate;
@@ -23,17 +23,19 @@ use er_bench::Settings;
 
 /// Sweeps a monotone family (candidate volume non-decreasing) and returns
 /// the first feasible outcome or the max-recall fallback.
-fn tune<F: Filter + Clone>(
+fn tune<F: Filter + Clone + Sync>(
     configs: Vec<F>,
     view: &er::core::TextView,
     gt: &er::core::GroundTruth,
     target: f64,
 ) -> (Effectiveness, bool) {
     let optimizer = Optimizer::new(target);
-    let outcome = optimizer.first_feasible(configs, |cfg| {
+    let mut outcome = OptimizationOutcome::default();
+    let eval = |cfg: &F| {
         let out = cfg.run(view);
         (evaluate(&out.candidates, gt), out.breakdown)
-    });
+    };
+    optimizer.first_feasible(1, configs, eval, &mut outcome);
     let feasible = outcome.is_feasible();
     (outcome.best().expect("non-empty sweep").eff, feasible)
 }

@@ -1,11 +1,12 @@
-//! Configuration optimization per method (Problem 1) and the 16-method
+//! Configuration optimization per method (Problem 1) and the 17-method
 //! sweep behind Table VII.
 //!
 //! Each `run_*` function fine-tunes one technique on one dataset view with
-//! respect to the recall target, then re-executes the winning configuration
-//! to obtain honest run-time phase breakdowns. Stochastic methods
-//! (MinHash/HP/CP-LSH, DeepBlocker) are additionally averaged over
-//! `reps` seeds, as the paper averages 10 repetitions.
+//! respect to the recall target through the [`er::core::optimize`] driver,
+//! then re-executes the winning configuration to obtain honest run-time
+//! phase breakdowns. Stochastic methods (MinHash/HP/CP-LSH, DeepBlocker)
+//! are additionally averaged over `reps` seeds, as the paper averages 10
+//! repetitions.
 
 use er::blocking::{comparison_propagation, BlockingWorkflow, ComparisonCleaning, WorkflowKind};
 use er::core::artifacts::{ArtifactCache, ArtifactKey};
@@ -13,18 +14,18 @@ use er::core::dataset::GroundTruth;
 use er::core::filter::Prepared;
 use er::core::guard::{self, FailReason, Limits, RunOutcome};
 use er::core::metrics::{evaluate, Effectiveness};
-use er::core::optimize::{Evaluated, Failure, GridResolution, OptimizationOutcome, Optimizer};
+use er::core::optimize::{GridResolution, OptimizationOutcome, Optimizer};
 use er::core::parallel::{self, Threads};
 use er::core::schema::TextView;
 use er::core::timing::PhaseBreakdown;
-use er::core::{faults, Filter};
+use er::core::{faults, Filter, QueryRankings};
 use er::dense::{
-    grid as dense_grid, CrossPolytopeLsh, DeepBlocker, DenseIndexArtifact, EmbeddingConfig,
-    FlatKnn, HyperplaneLsh, MinHashLsh, PartitionedArtifact, PartitionedKnn,
+    grid as dense_grid, CrossPolytopeLsh, DeepBlocker, DeepBlockerConfig, EmbeddingConfig, FlatKnn,
+    HyperplaneLsh, MinHashLsh, PartitionedKnn,
 };
 use er::sparse::{
     dknn_baseline, epsilon_grid, knn_grid, EpsilonJoin, KnnJoin, ScanCountScratch,
-    TokenSetsArtifact,
+    SimilarityMeasure, TokenSetsArtifact,
 };
 use std::time::Duration;
 
@@ -34,7 +35,7 @@ pub struct Context<'a> {
     pub view: &'a TextView,
     /// The duplicate pairs.
     pub gt: &'a GroundTruth,
-    /// The Problem 1 optimizer (recall target + budget + guard limits).
+    /// The Problem 1 optimizer (recall target + guard limits).
     pub optimizer: Optimizer,
     /// Grid resolution.
     pub resolution: GridResolution,
@@ -77,6 +78,10 @@ impl<'a> Context<'a> {
         self.optimizer.limits
     }
 
+    fn target(&self) -> f64 {
+        self.optimizer.target.0
+    }
+
     fn eval(&self, filter: &dyn Filter) -> (Effectiveness, PhaseBreakdown) {
         let out = er::core::filter::run_hooked(filter, self.view);
         (evaluate(&out.candidates, self.gt), out.breakdown)
@@ -102,59 +107,19 @@ impl<'a> Context<'a> {
         filter.prepare(self.view)
     }
 
-    /// Fetches the prepare-stage artifact for `filter` through the shared
-    /// cache. A miss runs the prepare under the sweep's guard limits; a
-    /// failing prepare poisons the entry and returns the structured
-    /// failure, and a poisoned hit replays it without re-running anything.
-    fn prepared_for(&self, filter: &dyn Filter) -> Result<Prepared, (FailReason, Duration)> {
-        let repr = filter.repr_key();
-        let key = ArtifactKey::new(self.dataset_fp, repr.clone());
-        match self.cache.lookup(&key) {
-            Some(Ok(prepared)) => Ok(prepared),
-            Some(Err(reason)) => Err((FailReason::Poisoned { repr, reason }, Duration::ZERO)),
-            None => match guard::run_guarded(self.limits(), || self.prepare(filter)) {
-                RunOutcome::Ok(prepared) => {
-                    self.cache.insert(key, prepared.clone());
-                    Ok(prepared)
-                }
-                RunOutcome::Failed { reason, elapsed } => {
-                    self.cache.poison(key, reason.to_string());
-                    Err((reason, elapsed))
-                }
-            },
-        }
-    }
-}
-
-/// Records a whole configuration group as failed after its shared prepare
-/// failed: the first member carries the original reason (and the elapsed
-/// time), every other member a zero-cost [`FailReason::Poisoned`] row. A
-/// group failing on a poisoned cache hit replays the same poisoned reason
-/// for every member.
-fn fail_group<C>(
-    outcome: &mut OptimizationOutcome<C>,
-    configs: impl IntoIterator<Item = C>,
-    repr: &str,
-    reason: FailReason,
-    elapsed: Duration,
-) {
-    let poisoned = match &reason {
-        FailReason::Poisoned { .. } => reason.clone(),
-        fresh => FailReason::Poisoned {
-            repr: repr.to_owned(),
-            reason: fresh.to_string(),
-        },
-    };
-    let mut first = Some((reason, elapsed));
-    for config in configs {
-        let (reason, elapsed) = first
-            .take()
-            .unwrap_or_else(|| (poisoned.clone(), Duration::ZERO));
-        outcome.failures.push(Failure {
-            config,
-            reason,
-            elapsed,
-        });
+    /// The prepare artifact shared by `group` (configurations with one
+    /// representation key), fetched through the shared cache by
+    /// [`Optimizer::fetch_prepared`]; `None` once the whole group is
+    /// recorded as failed.
+    fn fetch<C: Filter + Clone>(
+        &self,
+        group: &[C],
+        out: &mut OptimizationOutcome<C>,
+    ) -> Option<Prepared> {
+        let probe = &group[0];
+        let key = ArtifactKey::new(self.dataset_fp, probe.repr_key());
+        self.optimizer
+            .fetch_prepared(self.cache, key, || self.prepare(probe), group, out)
     }
 }
 
@@ -212,7 +177,7 @@ impl MethodOutcome {
 /// Folds a sweep whose configurations *all* failed under guards into one
 /// failure row carrying the first failure's reason and the total elapsed
 /// time spent attempting.
-fn all_failed<C: Clone>(method: &str, opt: &OptimizationOutcome<C>) -> MethodOutcome {
+fn all_failed<C>(method: &str, opt: &OptimizationOutcome<C>) -> MethodOutcome {
     let elapsed = opt.failures.iter().map(|f| f.elapsed).sum();
     match opt.failures.first() {
         Some(f) => MethodOutcome::failed(method, &f.reason, elapsed),
@@ -224,45 +189,118 @@ fn all_failed<C: Clone>(method: &str, opt: &OptimizationOutcome<C>) -> MethodOut
     }
 }
 
-fn outcome_from<C: Clone>(
+/// The measured row of a reported configuration: `measure(seed)` runs it
+/// once per repetition seed (`reps` of them) and the measures are
+/// averaged. `feasible` is the sweep's verdict; `None` judges the averaged
+/// PC instead.
+fn measured(
+    ctx: &Context<'_>,
     method: &str,
-    opt: &OptimizationOutcome<C>,
-    describe: impl Fn(&C) -> String,
-    rerun: impl Fn(&C) -> (Effectiveness, PhaseBreakdown),
+    config: String,
+    evaluated: usize,
+    feasible: Option<bool>,
+    reps: usize,
+    measure: impl Fn(u64) -> (Effectiveness, PhaseBreakdown),
 ) -> MethodOutcome {
-    let Some(best) = opt.best() else {
-        return all_failed(method, opt);
-    };
-    let (eff, breakdown) = rerun(&best.config);
+    let (mut pc, mut pq, mut candidates) = (0.0, 0.0, 0.0);
+    let mut runtime = Duration::ZERO;
+    let mut breakdown = PhaseBreakdown::new();
+    for rep in 0..reps {
+        let (eff, bd) = measure(ctx.seed.wrapping_add(rep as u64));
+        pc += eff.pc;
+        pq += eff.pq;
+        candidates += eff.candidates as f64;
+        runtime += bd.total();
+        breakdown.merge(&bd);
+    }
+    let n = reps as f64;
     MethodOutcome {
         method: method.to_owned(),
-        pc: eff.pc,
-        pq: eff.pq,
-        candidates: eff.candidates as f64,
-        runtime: breakdown.total(),
+        pc: pc / n,
+        pq: pq / n,
+        candidates: candidates / n,
+        runtime: runtime / reps as u32,
         breakdown,
-        feasible: opt.is_feasible(),
-        config: describe(&best.config),
-        evaluated: opt.evaluated,
+        feasible: feasible.unwrap_or(pc / n >= ctx.target()),
+        config,
+        evaluated,
         error: None,
     }
 }
 
-/// Evaluates a fixed (baseline) configuration.
-fn fixed_outcome(ctx: &Context<'_>, method: &str, f: &dyn Filter, config: String) -> MethodOutcome {
-    let (eff, breakdown) = ctx.eval(f);
-    MethodOutcome {
-        method: method.to_owned(),
-        pc: eff.pc,
-        pq: eff.pq,
-        candidates: eff.candidates as f64,
-        runtime: breakdown.total(),
-        breakdown,
-        feasible: eff.pc >= ctx.optimizer.target.0,
-        config,
-        evaluated: 1,
-        error: None,
+/// A deterministic method's row: its champion, re-run once.
+fn tuned<C: Filter>(
+    ctx: &Context<'_>,
+    method: &str,
+    opt: &OptimizationOutcome<C>,
+    describe: impl Fn(&C) -> String,
+) -> MethodOutcome {
+    let Some(best) = opt.best() else {
+        return all_failed(method, opt);
+    };
+    let feasible = Some(opt.is_feasible());
+    measured(
+        ctx,
+        method,
+        describe(&best.config),
+        opt.evaluated,
+        feasible,
+        1,
+        |_| ctx.eval(&best.config),
+    )
+}
+
+/// A stochastic method's row: its champion averaged over `reps` seeds.
+fn stochastic<C: Filter>(
+    ctx: &Context<'_>,
+    method: &str,
+    opt: &OptimizationOutcome<C>,
+    describe: impl Fn(&C) -> String,
+    with_seed: impl Fn(&C, u64) -> C,
+) -> MethodOutcome {
+    let Some(best) = opt.best() else {
+        return all_failed(method, opt);
+    };
+    measured(
+        ctx,
+        method,
+        describe(&best.config),
+        opt.evaluated,
+        None,
+        ctx.reps,
+        |seed| ctx.eval(&with_seed(&best.config, seed)),
+    )
+}
+
+/// A baseline's row: its fixed configuration, measured once.
+fn fixed(ctx: &Context<'_>, method: &str, f: &dyn Filter, config: String) -> MethodOutcome {
+    measured(ctx, method, config, 1, None, 1, |_| ctx.eval(f))
+}
+
+/// The first-feasible sweep over ordered groups of configurations that
+/// share one prepare artifact each: a group's artifact comes through the
+/// cache (a failing prepare fails the whole group), `derive` turns it into
+/// the group's state once (a histogram, rankings, or the artifact itself),
+/// and the group's sweep stops at its first feasible configuration.
+fn first_feasible_groups<C: Filter + Clone + Sync, S: Sync>(
+    ctx: &Context<'_>,
+    threads: usize,
+    groups: impl IntoIterator<Item = Vec<C>>,
+    derive: impl Fn(&[C], &Prepared) -> S,
+    eval: impl Fn(&S, &C) -> (Effectiveness, PhaseBreakdown) + Sync,
+) -> OptimizationOutcome<C> {
+    let mut outcome = OptimizationOutcome::default();
+    for group in groups {
+        guard::checkpoint();
+        let Some(prepared) = ctx.fetch(&group, &mut outcome) else {
+            continue;
+        };
+        let state = derive(&group, &prepared);
+        let eval = |cfg: &C| eval(&state, cfg);
+        ctx.optimizer
+            .first_feasible(threads, group, eval, &mut outcome);
     }
+    outcome
 }
 
 // ---------------------------------------------------------------------------
@@ -272,130 +310,88 @@ fn fixed_outcome(ctx: &Context<'_>, method: &str, f: &dyn Filter, config: String
 /// Fine-tunes one blocking workflow family (SBW/QBW/EQBW/SABW/ESABW).
 ///
 /// Raw block building — the representation-dependent step — goes through
-/// the shared artifact cache (keyed by the builder alone, so every purge /
-/// filter / cleaning combination over one builder shares one collection,
-/// as does a later warm sweep). The cleaned collection, the blocking graph
-/// and the weighted edges remain local caches matching the grid's loop
-/// nesting, exactly as before.
+/// the shared artifact cache once per run of configurations with one
+/// builder (the artifact key is the builder's), so every purge / filter /
+/// cleaning combination over one builder shares one collection, as does a
+/// later warm sweep. The cleaned collection, the blocking graph and the
+/// weighted edges remain local caches matching the grid's loop nesting.
 pub fn run_blocking_family(ctx: &Context<'_>, kind: WorkflowKind) -> MethodOutcome {
     use er::blocking::{
         block_filtering, block_purging, BlockCollection, BlockingGraph, WeightingScheme,
     };
     let grid = kind.grid(ctx.resolution);
-    let mut outcome: OptimizationOutcome<BlockingWorkflow> = OptimizationOutcome::default();
-    // Raw blocks per builder (via the artifact cache, with prepare-failure
-    // poisoning); cleaned blocks per (builder, purge, ratio); the blocking
-    // graph per cleaned blocks; weighted edges per (graph, scheme).
-    let mut raw: Option<(String, Result<Prepared, String>)> = None;
-    let mut cleaned: Option<(BlockingWorkflow, Option<BlockCollection>)> = None;
-    let mut graph_cache: Option<BlockingGraph> = None;
-    let mut edges_cache: Option<(WeightingScheme, Vec<er::blocking::metablocking::Edge>)> = None;
-    for wf in grid {
-        if outcome.attempted() >= ctx.optimizer.max_evaluations {
-            break;
-        }
-        // Cooperative deadline check once per configuration: an armed
-        // method-level guard can time the sweep out between grid points.
+    let mut outcome = OptimizationOutcome::default();
+    let mut rest = &grid[..];
+    while let Some(first) = rest.first() {
+        let run = rest.iter().take_while(|wf| wf.builder == first.builder);
+        let (group, tail) = rest.split_at(run.count());
+        rest = tail;
         guard::checkpoint();
-        let repr = wf.repr_key();
-        if !raw.as_ref().is_some_and(|(r, _)| r == &repr) {
-            let fetched = match ctx.prepared_for(&wf) {
-                Ok(prepared) => Ok(prepared),
-                Err((reason, elapsed)) => {
-                    let msg = reason.to_string();
-                    outcome.failures.push(Failure {
-                        config: wf.clone(),
-                        reason,
-                        elapsed,
-                    });
-                    Err(msg)
-                }
-            };
-            let failed = fetched.is_err();
-            raw = Some((repr.clone(), fetched));
-            cleaned = None;
-            graph_cache = None;
-            edges_cache = None;
-            if failed {
-                continue; // this wf's failure row was just pushed
-            }
-        }
-        let (_, state) = raw.as_ref().expect("raw cache just refreshed");
-        let prepared = match state {
-            Ok(prepared) => prepared,
-            Err(msg) => {
-                outcome.failures.push(Failure {
-                    config: wf.clone(),
-                    reason: FailReason::Poisoned {
-                        repr: repr.clone(),
-                        reason: msg.clone(),
-                    },
-                    elapsed: Duration::ZERO,
-                });
-                continue;
-            }
+        let Some(prepared) = ctx.fetch(group, &mut outcome) else {
+            continue;
         };
         let raw_blocks = prepared.downcast::<BlockCollection>();
-        let prefix_matches = cleaned.as_ref().is_some_and(|(prev, _)| {
-            prev.builder == wf.builder
-                && prev.purge == wf.purge
-                && prev.filter_ratio == wf.filter_ratio
-        });
-        if !prefix_matches {
-            let mut b: Option<BlockCollection> = None;
-            if wf.purge {
-                b = Some(block_purging(raw_blocks));
-            }
-            if let Some(r) = wf.filter_ratio {
-                if r < 1.0 {
-                    b = Some(block_filtering(b.as_ref().unwrap_or(raw_blocks), r));
+        // Cleaned blocks per (purge, ratio); the blocking graph per cleaned
+        // blocks; weighted edges per (graph, scheme).
+        let mut cleaned: Option<(&BlockingWorkflow, Option<BlockCollection>)> = None;
+        let mut graph_cache: Option<BlockingGraph> = None;
+        let mut edges_cache: Option<(WeightingScheme, Vec<er::blocking::metablocking::Edge>)> =
+            None;
+        for wf in group {
+            // Cooperative deadline check once per configuration: an armed
+            // method-level guard can time the sweep out between grid points.
+            guard::checkpoint();
+            let prefix_matches = cleaned.as_ref().is_some_and(|(prev, _)| {
+                prev.purge == wf.purge && prev.filter_ratio == wf.filter_ratio
+            });
+            if !prefix_matches {
+                let mut b: Option<BlockCollection> = None;
+                if wf.purge {
+                    b = Some(block_purging(raw_blocks));
                 }
+                if let Some(r) = wf.filter_ratio {
+                    if r < 1.0 {
+                        b = Some(block_filtering(b.as_ref().unwrap_or(raw_blocks), r));
+                    }
+                }
+                cleaned = Some((wf, b));
+                graph_cache = None;
+                edges_cache = None;
             }
-            cleaned = Some((wf.clone(), b));
-            graph_cache = None;
-            edges_cache = None;
+            let (_, cleaned_blocks) = cleaned.as_ref().expect("cache just refreshed");
+            let blocks = cleaned_blocks.as_ref().unwrap_or(raw_blocks);
+            let candidates = match &wf.cleaning {
+                ComparisonCleaning::Propagation => comparison_propagation(blocks),
+                ComparisonCleaning::Meta(mb) => {
+                    let graph = graph_cache.get_or_insert_with(|| BlockingGraph::build(blocks));
+                    let reuse = edges_cache
+                        .as_ref()
+                        .is_some_and(|(scheme, _)| *scheme == mb.scheme);
+                    if !reuse {
+                        edges_cache = Some((mb.scheme, graph.weighted_edges(mb.scheme)));
+                    }
+                    let (_, edges) = edges_cache.as_ref().expect("edges just refreshed");
+                    graph.prune(edges, mb.pruning)
+                }
+            };
+            let eff = evaluate(&candidates, ctx.gt);
+            let result = RunOutcome::Ok((eff, PhaseBreakdown::new()));
+            outcome.record(wf.clone(), result, ctx.target());
         }
-        let (_, cleaned_blocks) = cleaned.as_ref().expect("cache just refreshed");
-        let blocks = cleaned_blocks.as_ref().unwrap_or(raw_blocks);
-        let candidates = match &wf.cleaning {
-            ComparisonCleaning::Propagation => comparison_propagation(blocks),
-            ComparisonCleaning::Meta(mb) => {
-                let graph = graph_cache.get_or_insert_with(|| BlockingGraph::build(blocks));
-                let reuse = edges_cache
-                    .as_ref()
-                    .is_some_and(|(scheme, _)| *scheme == mb.scheme);
-                if !reuse {
-                    edges_cache = Some((mb.scheme, graph.weighted_edges(mb.scheme)));
-                }
-                let (_, edges) = edges_cache.as_ref().expect("edges just refreshed");
-                graph.prune(edges, mb.pruning)
-            }
-        };
-        let eff = evaluate(&candidates, ctx.gt);
-        outcome.consider(
-            Evaluated {
-                config: wf,
-                eff,
-                breakdown: PhaseBreakdown::new(),
-            },
-            ctx.optimizer.target.0,
-        );
     }
-    outcome_from(kind.acronym(), &outcome, BlockingWorkflow::describe, |wf| {
-        ctx.eval(wf)
-    })
+    tuned(ctx, kind.acronym(), &outcome, BlockingWorkflow::describe)
 }
 
 /// The Parameter-free Blocking Workflow baseline.
 pub fn run_pbw(ctx: &Context<'_>) -> MethodOutcome {
     let wf = BlockingWorkflow::pbw();
-    fixed_outcome(ctx, "PBW", &wf, wf.describe())
+    fixed(ctx, "PBW", &wf, wf.describe())
 }
 
 /// The Default Blocking Workflow baseline.
 pub fn run_dbw(ctx: &Context<'_>) -> MethodOutcome {
     let wf = BlockingWorkflow::dbw();
-    fixed_outcome(ctx, "DBW", &wf, wf.describe())
+    fixed(ctx, "DBW", &wf, wf.describe())
 }
 
 // ---------------------------------------------------------------------------
@@ -411,74 +407,18 @@ pub const SIM_BINS: usize = 1000;
 /// overlapping pair's similarity into [`SIM_BINS`] bins split by
 /// duplicate/non-duplicate; each threshold of the descending sweep is then
 /// a suffix sum — the whole sweep costs one join instead of one per
-/// threshold.
+/// threshold. Tokenization and the ScanCount index come from the shared
+/// artifact cache: every similarity measure (and the kNN-Join) over the
+/// same (CL, RM) reuses one preparation.
 pub fn run_epsilon(ctx: &Context<'_>) -> MethodOutcome {
-    let groups = epsilon_grid(ctx.resolution);
-    let mut outcome: OptimizationOutcome<EpsilonJoin> = OptimizationOutcome::default();
     let total_dups = ctx.gt.len().max(1) as f64;
-
-    for group in groups {
-        guard::checkpoint();
-        let probe = *group.first().expect("non-empty threshold group");
-        // Tokenization + the ScanCount index come from the shared artifact
-        // cache: every similarity measure (and the kNN-Join/top-k sweeps)
-        // over the same (CL, RM) reuses one preparation.
-        let prepared = match ctx.prepared_for(&probe) {
-            Ok(prepared) => prepared,
-            Err((reason, elapsed)) => {
-                fail_group(&mut outcome, group, &probe.repr_key(), reason, elapsed);
-                continue;
-            }
-        };
-        let art = prepared.downcast::<TokenSetsArtifact>();
-        let index = &art.index;
-
-        // Histogram pass: each worker chunk accumulates its own partial
-        // histogram; the `u64` partials merge in chunk order (addition is
-        // exact, so the result is thread-count-invariant either way).
-        let chunk = parallel::query_chunk_len(art.query_sets.len());
-        let partials = parallel::par_map_chunks_with(
-            Threads::get(),
-            art.query_sets.set_sizes(),
-            chunk,
-            |offset, part| {
-                let mut scratch = ScanCountScratch::default();
-                let mut hits: Vec<(u32, u32)> = Vec::new();
-                let mut totals = vec![0u64; SIM_BINS + 1];
-                let mut dups = vec![0u64; SIM_BINS + 1];
-                for (local, &size) in part.iter().enumerate() {
-                    let j = (offset + local) as u32;
-                    let qlen = size as usize;
-                    index.query_row_with(&mut scratch, &art.query_sets, j as usize, &mut hits);
-                    for &(i, overlap) in &hits {
-                        let sim = probe
-                            .measure
-                            .compute(overlap as usize, index.set_size(i), qlen);
-                        let bin = ((sim * SIM_BINS as f64).floor() as usize).min(SIM_BINS);
-                        totals[bin] += 1;
-                        if ctx.gt.contains(er::core::Pair::new(i, j)) {
-                            dups[bin] += 1;
-                        }
-                    }
-                }
-                (totals, dups)
-            },
-        );
-        let mut totals = vec![0u64; SIM_BINS + 1];
-        let mut dups = vec![0u64; SIM_BINS + 1];
-        for (t, d) in partials {
-            for b in 0..=SIM_BINS {
-                totals[b] += t[b];
-                dups[b] += d[b];
-            }
-        }
-        // Suffix sums: candidates/duplicates at similarity >= bin boundary.
-        for b in (0..SIM_BINS).rev() {
-            totals[b] += totals[b + 1];
-            dups[b] += dups[b + 1];
-        }
-
-        for cfg in &group {
+    // A threshold costs one suffix-sum lookup: one thread is plenty.
+    let outcome = first_feasible_groups(
+        ctx,
+        1,
+        epsilon_grid(ctx.resolution),
+        |group, prepared| similarity_suffix_sums(ctx, group[0].measure, prepared.downcast()),
+        |(totals, dups), cfg| {
             let bin = ((cfg.threshold * SIM_BINS as f64) - 1e-9).ceil().max(0.0) as usize;
             let bin = bin.min(SIM_BINS);
             let candidates = totals[bin] as usize;
@@ -493,28 +433,62 @@ pub fn run_epsilon(ctx: &Context<'_>) -> MethodOutcome {
                 candidates,
                 duplicates_found: found,
             };
-            let feasible = eff.pc >= ctx.optimizer.target.0;
-            outcome.consider(
-                Evaluated {
-                    config: *cfg,
-                    eff,
-                    breakdown: PhaseBreakdown::new(),
-                },
-                ctx.optimizer.target.0,
-            );
-            if feasible {
-                break; // thresholds descend: later ones only lower PQ
-            }
-        }
-    }
-    outcome_from("e-Join", &outcome, EpsilonJoin::describe, |cfg| {
-        ctx.eval(cfg)
-    })
+            (eff, PhaseBreakdown::new())
+        },
+    );
+    tuned(ctx, "e-Join", &outcome, EpsilonJoin::describe)
 }
 
-/// Largest K swept for kNN-style methods at a resolution.
-fn max_k(res: GridResolution) -> usize {
-    *dense_grid::k_sweep(res).last().expect("non-empty sweep")
+/// Candidates and duplicates with similarity at or above each of the
+/// [`SIM_BINS`] bin boundaries under `measure`. Each worker chunk
+/// accumulates its own partial histogram; the `u64` partials merge in
+/// chunk order (addition is exact, so the result is thread-count-invariant
+/// either way).
+fn similarity_suffix_sums(
+    ctx: &Context<'_>,
+    measure: SimilarityMeasure,
+    art: &TokenSetsArtifact,
+) -> (Vec<u64>, Vec<u64>) {
+    let index = &art.index;
+    let chunk = parallel::query_chunk_len(art.query_sets.len());
+    let partials = parallel::par_map_chunks_with(
+        Threads::get(),
+        art.query_sets.set_sizes(),
+        chunk,
+        |offset, part| {
+            let mut scratch = ScanCountScratch::default();
+            let mut hits: Vec<(u32, u32)> = Vec::new();
+            let mut totals = vec![0u64; SIM_BINS + 1];
+            let mut dups = vec![0u64; SIM_BINS + 1];
+            for (local, &size) in part.iter().enumerate() {
+                let j = (offset + local) as u32;
+                let qlen = size as usize;
+                index.query_row_with(&mut scratch, &art.query_sets, j as usize, &mut hits);
+                for &(i, overlap) in &hits {
+                    let sim = measure.compute(overlap as usize, index.set_size(i), qlen);
+                    let bin = ((sim * SIM_BINS as f64).floor() as usize).min(SIM_BINS);
+                    totals[bin] += 1;
+                    if ctx.gt.contains(er::core::Pair::new(i, j)) {
+                        dups[bin] += 1;
+                    }
+                }
+            }
+            (totals, dups)
+        },
+    );
+    let mut totals = vec![0u64; SIM_BINS + 1];
+    let mut dups = vec![0u64; SIM_BINS + 1];
+    for (t, d) in partials {
+        for b in 0..=SIM_BINS {
+            totals[b] += t[b];
+            dups[b] += d[b];
+        }
+    }
+    for b in (0..SIM_BINS).rev() {
+        totals[b] += totals[b + 1];
+        dups[b] += dups[b + 1];
+    }
+    (totals, dups)
 }
 
 /// Fine-tunes the kNN-Join.
@@ -523,293 +497,168 @@ fn max_k(res: GridResolution) -> usize {
 /// cached token-set artifact; the ascending K sweep reads prefixes
 /// (distinct-similarity semantics).
 pub fn run_knn(ctx: &Context<'_>) -> MethodOutcome {
-    let groups = knn_grid(ctx.resolution);
-    let mut outcome: OptimizationOutcome<KnnJoin> = OptimizationOutcome::default();
-    for group in groups {
-        guard::checkpoint();
-        let probe = *group.first().expect("non-empty K group");
-        let k_cap = group.last().expect("non-empty").k;
-        let prepared = match ctx.prepared_for(&probe) {
-            Ok(prepared) => prepared,
-            Err((reason, elapsed)) => {
-                fail_group(&mut outcome, group, &probe.repr_key(), reason, elapsed);
-                continue;
-            }
-        };
-        let rankings = probe.rankings_from(
-            prepared.downcast::<TokenSetsArtifact>(),
-            (k_cap * 2).max(k_cap + 16),
-        );
-        for cfg in &group {
-            let candidates = rankings.candidates_top_k_distinct(cfg.k);
-            let eff = evaluate(&candidates, ctx.gt);
-            let feasible = eff.pc >= ctx.optimizer.target.0;
-            outcome.consider(
-                Evaluated {
-                    config: *cfg,
-                    eff,
-                    breakdown: PhaseBreakdown::new(),
-                },
-                ctx.optimizer.target.0,
-            );
-            if feasible {
-                break; // K ascends: later Ks only lower PQ
-            }
-        }
-    }
-    outcome_from("kNN-Join", &outcome, KnnJoin::describe, |cfg| ctx.eval(cfg))
+    let outcome = first_feasible_groups(
+        ctx,
+        1,
+        knn_grid(ctx.resolution),
+        |group, prepared| {
+            let k_cap = group.last().expect("non-empty K group").k;
+            group[0].rankings_from(prepared.downcast(), (k_cap * 2).max(k_cap + 16))
+        },
+        |rankings, cfg| effectiveness(ctx, rankings.candidates_top_k_distinct(cfg.k)),
+    );
+    tuned(ctx, "kNN-Join", &outcome, KnnJoin::describe)
+}
+
+/// PC/PQ of a candidate set read off shared rankings; the read has no
+/// run-time breakdown of its own.
+fn effectiveness(
+    ctx: &Context<'_>,
+    candidates: er::core::CandidateSet,
+) -> (Effectiveness, PhaseBreakdown) {
+    (evaluate(&candidates, ctx.gt), PhaseBreakdown::new())
 }
 
 /// The Default kNN-Join baseline.
 pub fn run_dknn(ctx: &Context<'_>) -> MethodOutcome {
     let cfg = dknn_baseline(ctx.view.e1.len(), ctx.view.e2.len());
-    fixed_outcome(ctx, "DkNN", &cfg, cfg.describe())
+    fixed(ctx, "DkNN", &cfg, cfg.describe())
 }
 
 // ---------------------------------------------------------------------------
 // Dense NN methods
 // ---------------------------------------------------------------------------
 
-/// Averages a stochastic method's winning configuration over `reps` seeds.
-fn average_stochastic<C: Clone>(
-    ctx: &Context<'_>,
-    method: &str,
-    opt: &OptimizationOutcome<C>,
-    describe: impl Fn(&C) -> String,
-    with_seed: impl Fn(&C, u64) -> Box<dyn Filter>,
-) -> MethodOutcome {
-    let Some(best) = opt.best() else {
-        return all_failed(method, opt);
-    };
-    let mut pc = 0.0;
-    let mut pq = 0.0;
-    let mut candidates = 0.0;
-    let mut runtime = Duration::ZERO;
-    let mut breakdown = PhaseBreakdown::new();
-    for rep in 0..ctx.reps {
-        let filter = with_seed(&best.config, ctx.seed.wrapping_add(rep as u64));
-        let (eff, bd) = ctx.eval(filter.as_ref());
-        pc += eff.pc;
-        pq += eff.pq;
-        candidates += eff.candidates as f64;
-        runtime += bd.total();
-        breakdown.merge(&bd);
-    }
-    let n = ctx.reps as f64;
-    MethodOutcome {
-        method: method.to_owned(),
-        pc: pc / n,
-        pq: pq / n,
-        candidates: candidates / n,
-        runtime: runtime / ctx.reps as u32,
-        breakdown,
-        feasible: pc / n >= ctx.optimizer.target.0,
-        config: describe(&best.config),
-        evaluated: opt.evaluated,
-        error: None,
-    }
-}
-
 /// Fine-tunes MinHash LSH (grouped grid over `CL × bands/rows × k`). The
 /// MinHash representation key spans every parameter, so the grouped sweep
 /// degenerates to one prepare per grid point — which still makes a warm
 /// re-sweep over the same dataset prepare-free.
 pub fn run_minhash(ctx: &Context<'_>) -> MethodOutcome {
-    let grid = dense_grid::minhash_grid(ctx.resolution, ctx.seed);
     let opt = ctx.optimizer.grid_grouped(
+        Threads::get(),
         ctx.cache,
         ctx.dataset_fp,
-        grid,
+        dense_grid::minhash_grid(ctx.resolution, ctx.seed),
         |cfg: &MinHashLsh| cfg.repr_key(),
         |cfg| ctx.prepare(cfg),
         |cfg, prepared| ctx.eval_query(cfg, prepared),
     );
-    average_stochastic(ctx, "MH-LSH", &opt, MinHashLsh::describe, |cfg, seed| {
-        Box::new(MinHashLsh { seed, ..*cfg })
+    stochastic(ctx, "MH-LSH", &opt, MinHashLsh::describe, |cfg, seed| {
+        MinHashLsh { seed, ..*cfg }
     })
 }
 
-/// Fine-tunes Hyperplane LSH (probe sweep ascending per combination). The
-/// representation key excludes the probe count, so the whole ascending
-/// probe sweep shares one set of hash tables.
+/// Fine-tunes a probe-swept LSH family (Hyperplane, Cross-Polytope): the
+/// representation key excludes the probe count, so each ascending probe
+/// sweep shares one set of hash tables.
+fn run_probe_lsh<C: Filter + Clone + Sync>(
+    ctx: &Context<'_>,
+    method: &str,
+    groups: Vec<Vec<C>>,
+    describe: impl Fn(&C) -> String,
+    with_seed: impl Fn(&C, u64) -> C,
+) -> MethodOutcome {
+    let outcome = first_feasible_groups(
+        ctx,
+        Threads::get(),
+        groups,
+        |_, prepared| prepared.clone(),
+        |prepared, cfg| ctx.eval_query(cfg, prepared),
+    );
+    stochastic(ctx, method, &outcome, describe, with_seed)
+}
+
+/// Fine-tunes Hyperplane LSH.
 pub fn run_hyperplane(ctx: &Context<'_>) -> MethodOutcome {
     let groups = dense_grid::hyperplane_grid(ctx.resolution, ctx.embedding, ctx.seed);
-    let mut outcome: OptimizationOutcome<HyperplaneLsh> = OptimizationOutcome::default();
-    for group in groups {
-        guard::checkpoint();
-        let probe = *group.first().expect("non-empty probe group");
-        let prepared = match ctx.prepared_for(&probe) {
-            Ok(prepared) => prepared,
-            Err((reason, elapsed)) => {
-                fail_group(&mut outcome, group, &probe.repr_key(), reason, elapsed);
-                continue;
-            }
-        };
-        let sub = ctx
-            .optimizer
-            .first_feasible_par(group, |cfg| ctx.eval_query(cfg, &prepared));
-        merge_outcomes(&mut outcome, sub, ctx.optimizer.target.0);
-    }
-    average_stochastic(
+    run_probe_lsh(
         ctx,
         "HP-LSH",
-        &outcome,
+        groups,
         HyperplaneLsh::describe,
-        |cfg, seed| Box::new(HyperplaneLsh { seed, ..*cfg }),
+        |cfg, seed| HyperplaneLsh { seed, ..*cfg },
     )
 }
 
 /// Fine-tunes Cross-Polytope LSH.
 pub fn run_crosspolytope(ctx: &Context<'_>) -> MethodOutcome {
     let groups = dense_grid::crosspolytope_grid(ctx.resolution, ctx.embedding, ctx.seed);
-    let mut outcome: OptimizationOutcome<CrossPolytopeLsh> = OptimizationOutcome::default();
-    for group in groups {
-        guard::checkpoint();
-        let probe = *group.first().expect("non-empty probe group");
-        let prepared = match ctx.prepared_for(&probe) {
-            Ok(prepared) => prepared,
-            Err((reason, elapsed)) => {
-                fail_group(&mut outcome, group, &probe.repr_key(), reason, elapsed);
-                continue;
-            }
-        };
-        let sub = ctx
-            .optimizer
-            .first_feasible_par(group, |cfg| ctx.eval_query(cfg, &prepared));
-        merge_outcomes(&mut outcome, sub, ctx.optimizer.target.0);
-    }
-    average_stochastic(
+    run_probe_lsh(
         ctx,
         "CP-LSH",
-        &outcome,
+        groups,
         CrossPolytopeLsh::describe,
-        |cfg, seed| Box::new(CrossPolytopeLsh { seed, ..*cfg }),
+        |cfg, seed| CrossPolytopeLsh { seed, ..*cfg },
     )
 }
 
-fn merge_outcomes<C: Clone>(
-    into: &mut OptimizationOutcome<C>,
-    from: OptimizationOutcome<C>,
-    target: f64,
-) {
-    let before = into.evaluated;
-    for cand in [from.best_feasible, from.best_fallback]
-        .into_iter()
-        .flatten()
-    {
-        into.consider(cand, target);
-    }
-    // `consider` double-counts the merged champions; the true total is the
-    // sum of the sub-sweep's evaluations.
-    into.evaluated = before + from.evaluated;
-    into.failures.extend(from.failures);
-}
-
-/// Generic driver for the cardinality-based dense methods: rankings per
-/// combination (over the cached prepare artifact), ascending-K prefix
-/// sweep, honest re-run of the winner. A failed prepare fails the combo's
-/// whole K sweep as structured rows instead of aborting the method.
-fn run_cardinality_dense<C: Clone + Filter>(
+/// The cardinality-based dense methods: rankings per combination over the
+/// cached prepare artifact, then the ascending-K prefix sweep. A failed
+/// prepare fails the combination's whole K sweep as structured rows.
+fn run_cardinality_dense<C: Filter + Clone + Sync>(
     ctx: &Context<'_>,
     combos: Vec<C>,
-    rankings_of: impl Fn(&C, usize) -> Result<er::core::QueryRankings, (FailReason, Duration)>,
     with_k: impl Fn(&C, usize) -> C,
+    k_of: impl Fn(&C) -> usize + Sync,
+    rankings_of: impl Fn(&C, &Prepared, usize) -> QueryRankings,
 ) -> OptimizationOutcome<C> {
     let ks = dense_grid::k_sweep(ctx.resolution);
-    let k_cap = max_k(ctx.resolution);
-    let mut outcome: OptimizationOutcome<C> = OptimizationOutcome::default();
-    for combo in combos {
-        guard::checkpoint();
-        let rankings = match rankings_of(&combo, k_cap) {
-            Ok(rankings) => rankings,
-            Err((reason, elapsed)) => {
-                fail_group(
-                    &mut outcome,
-                    ks.iter().map(|&k| with_k(&combo, k)),
-                    &combo.repr_key(),
-                    reason,
-                    elapsed,
-                );
-                continue;
-            }
-        };
-        for &k in &ks {
-            let candidates = rankings.candidates_top_k(k);
-            let eff = evaluate(&candidates, ctx.gt);
-            let feasible = eff.pc >= ctx.optimizer.target.0;
-            outcome.consider(
-                Evaluated {
-                    config: with_k(&combo, k),
-                    eff,
-                    breakdown: PhaseBreakdown::new(),
-                },
-                ctx.optimizer.target.0,
-            );
-            if feasible {
-                break;
-            }
-        }
-    }
-    outcome
+    let k_cap = *ks.last().expect("non-empty sweep");
+    let groups = combos
+        .iter()
+        .map(|c| ks.iter().map(|&k| with_k(c, k)).collect());
+    first_feasible_groups(
+        ctx,
+        1,
+        groups,
+        |group, prepared| rankings_of(&group[0], prepared, k_cap),
+        |rankings, cfg| effectiveness(ctx, rankings.candidates_top_k(k_of(cfg))),
+    )
 }
 
 /// Fine-tunes the FAISS-equivalent flat kNN.
 pub fn run_faiss(ctx: &Context<'_>) -> MethodOutcome {
-    let combos = dense_grid::flat_combos(ctx.resolution, ctx.embedding);
     let opt = run_cardinality_dense(
         ctx,
-        combos,
-        |c: &FlatKnn, k_cap| {
-            let prepared = ctx.prepared_for(c)?;
-            Ok(c.rankings_from(prepared.downcast::<DenseIndexArtifact>(), k_cap))
-        },
+        dense_grid::flat_combos(ctx.resolution, ctx.embedding),
         |c, k| FlatKnn { k, ..*c },
+        |c| c.k,
+        |c, prepared, k_cap| c.rankings_from(prepared.downcast(), k_cap),
     );
-    outcome_from("FAISS", &opt, FlatKnn::describe, |cfg| ctx.eval(cfg))
+    tuned(ctx, "FAISS", &opt, FlatKnn::describe)
 }
 
 /// Fine-tunes the SCANN-equivalent partitioned kNN.
 pub fn run_scann(ctx: &Context<'_>) -> MethodOutcome {
-    let combos = dense_grid::scann_combos(ctx.resolution, ctx.embedding, ctx.seed);
     let opt = run_cardinality_dense(
         ctx,
-        combos,
-        |c: &PartitionedKnn, k_cap| {
-            let prepared = ctx.prepared_for(c)?;
-            Ok(c.rankings_from(prepared.downcast::<PartitionedArtifact>(), k_cap))
-        },
+        dense_grid::scann_combos(ctx.resolution, ctx.embedding, ctx.seed),
         |c, k| PartitionedKnn { k, ..*c },
+        |c| c.k,
+        |c, prepared, k_cap| c.rankings_from(prepared.downcast(), k_cap),
     );
-    outcome_from("SCANN", &opt, PartitionedKnn::describe, |cfg| ctx.eval(cfg))
+    tuned(ctx, "SCANN", &opt, PartitionedKnn::describe)
 }
 
 /// Fine-tunes DeepBlocker.
 pub fn run_deepblocker(ctx: &Context<'_>) -> MethodOutcome {
-    let combos = dense_grid::deepblocker_combos(ctx.resolution, ctx.embedding, ctx.seed);
     let opt = run_cardinality_dense(
         ctx,
-        combos,
-        |c: &DeepBlocker, k_cap| {
-            let prepared = ctx.prepared_for(c)?;
-            Ok(c.rankings_from(prepared.downcast::<DenseIndexArtifact>(), k_cap))
-        },
-        |c, k| DeepBlocker::new(er::dense::DeepBlockerConfig { k, ..c.config }),
+        dense_grid::deepblocker_combos(ctx.resolution, ctx.embedding, ctx.seed),
+        |c, k| DeepBlocker::new(DeepBlockerConfig { k, ..c.config }),
+        |c| c.config.k,
+        |c, prepared, k_cap| c.rankings_from(prepared.downcast(), k_cap),
     );
-    average_stochastic(
+    stochastic(
         ctx,
         "DeepBlocker",
         &opt,
         DeepBlocker::describe,
-        |cfg, seed| {
-            Box::new(DeepBlocker::new(er::dense::DeepBlockerConfig {
-                seed,
-                ..cfg.config
-            }))
-        },
+        |c, seed| DeepBlocker::new(DeepBlockerConfig { seed, ..c.config }),
     )
 }
 
-/// The Default DeepBlocker baseline.
+/// The Default DeepBlocker baseline, averaged over `reps` seeds.
 pub fn run_ddb(ctx: &Context<'_>) -> MethodOutcome {
     let cfg = dense_grid::ddb_baseline(
         ctx.view.e1.len(),
@@ -817,21 +666,8 @@ pub fn run_ddb(ctx: &Context<'_>) -> MethodOutcome {
         ctx.embedding,
         ctx.seed,
     );
-    let mut opt: OptimizationOutcome<DeepBlocker> = OptimizationOutcome::default();
-    let (eff, bd) = ctx.eval(&cfg);
-    opt.consider(
-        Evaluated {
-            config: cfg,
-            eff,
-            breakdown: bd,
-        },
-        ctx.optimizer.target.0,
-    );
-    average_stochastic(ctx, "DDB", &opt, DeepBlocker::describe, |c, seed| {
-        Box::new(DeepBlocker::new(er::dense::DeepBlockerConfig {
-            seed,
-            ..c.config
-        }))
+    measured(ctx, "DDB", cfg.describe(), 1, None, ctx.reps, |seed| {
+        ctx.eval(&DeepBlocker::new(DeepBlockerConfig { seed, ..cfg.config }))
     })
 }
 
@@ -1077,7 +913,7 @@ mod tests {
         let cache = ArtifactCache::new();
         let ctx = quick_ctx(&view, &ds.groundtruth, &cache);
         let eps = run_epsilon(&ctx);
-        // `outcome_from` re-runs the winner; pc/pq in the outcome are thus
+        // `tuned` re-runs the winner; pc/pq in the outcome are thus
         // ground truth. The sweep only picks the config; verify coherence.
         assert!(eps.pc >= 0.0 && eps.pq >= 0.0);
         assert!(eps.evaluated >= 1);

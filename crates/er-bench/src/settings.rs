@@ -6,7 +6,7 @@
 //! --scale 0.1          entity-count scale of the synthetic datasets
 //! --seed 42            base RNG seed
 //! --grid pruned        grid resolution: full | pruned | quick
-//! --target 0.9         recall target τ of Problem 1
+//! --target 0.9         recall target τ of Problem 1, in (0, 1]
 //! --reps 3             repetitions for stochastic methods
 //! --dim 128            embedding dimensionality of the dense methods
 //! --datasets D1,D4     subset of datasets (default: all ten)
@@ -147,7 +147,15 @@ impl Settings {
             match arg.as_str() {
                 "--scale" => s.scale = parsed("--scale", &value("--scale")?)?,
                 "--seed" => s.seed = parsed("--seed", &value("--seed")?)?,
-                "--target" => s.target_pc = parsed("--target", &value("--target")?)?,
+                "--target" => {
+                    // NaN would make every recall comparison false and
+                    // every method silently infeasible.
+                    let t: f64 = parsed("--target", &value("--target")?)?;
+                    if !(t > 0.0 && t <= 1.0) {
+                        return Err(format!("--target must be in (0, 1], got {t}"));
+                    }
+                    s.target_pc = t;
+                }
                 "--reps" => s.reps = parsed("--reps", &value("--reps")?)?,
                 "--dim" => s.dim = parsed("--dim", &value("--dim")?)?,
                 "--grid" => {
@@ -452,6 +460,22 @@ mod tests {
             let err = parse(args).expect_err(needle);
             assert!(err.contains(needle), "{args:?}: {err}");
             assert!(!err.contains('\n'), "single line: {err:?}");
+        }
+    }
+
+    #[test]
+    fn target_outside_unit_interval_is_refused() {
+        for bad in ["NaN", "inf", "0", "-1", "1.5"] {
+            let err = parse(&["--target", bad]).expect_err(bad);
+            assert!(
+                err.starts_with("--target must be in (0, 1], got "),
+                "{bad}: {err}"
+            );
+            assert!(!err.contains('\n'), "single line: {err:?}");
+        }
+        for good in ["1", "0.9", "0.001"] {
+            let s = parse(&["--target", good]).expect(good);
+            assert_eq!(s.target_pc, good.parse::<f64>().expect("f64"));
         }
     }
 

@@ -3,32 +3,43 @@
 //! so the resulting candidate set maximizes PQ subject to PC ≥ τ.
 //!
 //! The driver is holistic (all parameters of a workflow are swept jointly,
-//! §II) and supports the two grid-traversal idioms the paper uses:
+//! §II) and has one implementation of each step every Table VII method
+//! shares:
 //!
+//! * [`Optimizer::fetch_prepared`] — the one path from a configuration
+//!   group to its prepare-stage artifact through the shared
+//!   [`ArtifactCache`]: a failing prepare poisons the entry and fails the
+//!   whole group, a poisoned hit replays that failure;
+//! * [`OptimizationOutcome::record`] — the one way a guarded evaluation
+//!   (or failure) enters an outcome;
 //! * [`Optimizer::grid`] — exhaustive sweep keeping the PQ-best feasible
 //!   configuration (and, as a fallback, the PC-best infeasible one, which
-//!   the paper reports in red for the baselines),
+//!   the paper reports in red for the baselines);
 //! * [`Optimizer::first_feasible`] — ordered sweep that stops at the first
 //!   configuration meeting τ; correct whenever the order enumerates
 //!   *increasing candidate volume* (kNN-Join's K, FAISS/SCANN's K, ε-Join's
 //!   descending threshold), because under that monotonicity the first
 //!   feasible configuration is also the PQ-best feasible one.
 //!
-//! Sweeps can additionally run **guarded** (see [`crate::guard`]): when
-//! the optimizer carries non-trivial [`Limits`], every configuration is
-//! evaluated under `catch_unwind` with a cooperative deadline and
-//! candidate budget, and a failing grid point becomes a structured
-//! [`Failure`] row in the [`OptimizationOutcome`] instead of aborting the
-//! sweep. Failed configurations are treated as infeasible and never
-//! become champions. With default (disabled) limits the guarded paths
-//! compile down to the plain calls — behavior is unchanged.
+//! Both sweeps take a worker count and accumulate into the caller's
+//! outcome, so a method sweeping many groups keeps one outcome and one
+//! `evaluated` count. [`Optimizer::grid_grouped`] composes the pieces for
+//! grids whose groups are not known up front.
+//!
+//! Every evaluation runs **guarded** (see [`crate::guard`]): when the
+//! optimizer carries non-trivial [`Limits`], each configuration runs under
+//! `catch_unwind` with a cooperative deadline and candidate budget, and a
+//! failing grid point becomes a structured [`Failure`] row instead of
+//! aborting the sweep. Failed configurations are treated as infeasible and
+//! never become champions. With default (disabled) limits the guard is a
+//! plain call — panics propagate.
 
 use crate::artifacts::{ArtifactCache, ArtifactKey};
 use crate::filter::Prepared;
 use crate::guard::{self, FailReason, Limits, RunOutcome};
 use crate::hash::FastMap;
 use crate::metrics::Effectiveness;
-use crate::parallel::{self, Threads};
+use crate::parallel;
 use crate::timing::PhaseBreakdown;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -116,17 +127,45 @@ impl<C> OptimizationOutcome<C> {
         self.best_feasible.is_some()
     }
 
-    /// Configurations attempted: successful evaluations plus guarded
-    /// failures. This is what the evaluation budget counts.
-    pub fn attempted(&self) -> usize {
-        self.evaluated + self.failures.len()
+    /// Records one guarded evaluation of `config`: a success competes for
+    /// the champions, a failure becomes a [`Failure`] row. Returns true if
+    /// the configuration met `target`.
+    pub fn record(
+        &mut self,
+        config: C,
+        result: RunOutcome<(Effectiveness, PhaseBreakdown)>,
+        target: f64,
+    ) -> bool
+    where
+        C: Clone,
+    {
+        match result {
+            RunOutcome::Ok((eff, breakdown)) => {
+                let feasible = eff.pc >= target;
+                self.consider(
+                    Evaluated {
+                        config,
+                        eff,
+                        breakdown,
+                    },
+                    target,
+                );
+                feasible
+            }
+            RunOutcome::Failed { reason, elapsed } => {
+                self.failures.push(Failure {
+                    config,
+                    reason,
+                    elapsed,
+                });
+                false
+            }
+        }
     }
 
     /// Accounts one evaluated configuration, updating the feasible and
-    /// fallback champions. Exposed so callers with custom sweep structure
-    /// (e.g. shared intermediate results) can drive the same selection
-    /// logic the built-in sweeps use.
-    pub fn consider(&mut self, cand: Evaluated<C>, target: f64)
+    /// fallback champions.
+    fn consider(&mut self, cand: Evaluated<C>, target: f64)
     where
         C: Clone,
     {
@@ -155,29 +194,15 @@ impl<C> OptimizationOutcome<C> {
     }
 }
 
-/// The optimization driver. Holds the recall target, an optional budget
-/// on the number of evaluated configurations, and the per-configuration
+/// The optimization driver: the recall target and the per-configuration
 /// fault-isolation limits.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Optimizer {
     /// Recall target τ.
     pub target: TargetRecall,
-    /// Hard cap on attempted configurations (`usize::MAX` = unbounded).
-    /// Lets the harness run pruned grids at small scales.
-    pub max_evaluations: usize,
     /// Per-configuration guard limits (disabled by default: evaluations
-    /// run unguarded and panics propagate, exactly as before).
+    /// run unguarded and panics propagate).
     pub limits: Limits,
-}
-
-impl Default for Optimizer {
-    fn default() -> Self {
-        Self {
-            target: TargetRecall::default(),
-            max_evaluations: usize::MAX,
-            limits: Limits::none(),
-        }
-    }
 }
 
 impl Optimizer {
@@ -189,48 +214,85 @@ impl Optimizer {
         }
     }
 
-    /// Caps the number of evaluated configurations.
-    pub fn with_budget(mut self, max_evaluations: usize) -> Self {
-        self.max_evaluations = max_evaluations;
-        self
-    }
-
     /// Sets the per-configuration guard limits.
     pub fn with_limits(mut self, limits: Limits) -> Self {
         self.limits = limits;
         self
     }
 
-    /// Exhaustive grid sweep: evaluate every configuration, keep the
-    /// PQ-best feasible one. With guard limits armed, a failing grid
-    /// point becomes a [`Failure`] row and the sweep continues.
-    pub fn grid<C: Clone>(
+    /// Fetches the prepare-stage artifact under `key` through `cache`.
+    ///
+    /// A hit returns the shared artifact. A miss runs `prepare` under the
+    /// guard limits and inserts the result; a failing prepare poisons the
+    /// key, so no later sweep re-runs a prepare known to fail. On failure
+    /// every configuration of `group` (the configurations sharing this
+    /// artifact) is recorded into `out`: the first with the original
+    /// reason and elapsed time, the rest as zero-cost
+    /// [`FailReason::Poisoned`] rows; a poisoned hit replays its reason
+    /// for every member. Returns `None` then.
+    pub fn fetch_prepared<C: Clone>(
         &self,
-        configs: impl IntoIterator<Item = C>,
-        mut eval: impl FnMut(&C) -> (Effectiveness, PhaseBreakdown),
-    ) -> OptimizationOutcome<C> {
-        let mut out = OptimizationOutcome::default();
-        for config in configs {
-            if out.attempted() >= self.max_evaluations {
-                break;
-            }
-            match guard::run_guarded(self.limits, || eval(&config)) {
-                RunOutcome::Ok((eff, breakdown)) => out.consider(
-                    Evaluated {
-                        config,
-                        eff,
-                        breakdown,
-                    },
-                    self.target.0,
-                ),
-                RunOutcome::Failed { reason, elapsed } => out.failures.push(Failure {
-                    config,
+        cache: &ArtifactCache,
+        key: ArtifactKey,
+        prepare: impl FnOnce() -> Prepared,
+        group: &[C],
+        out: &mut OptimizationOutcome<C>,
+    ) -> Option<Prepared> {
+        let (reason, elapsed) = match cache.lookup(&key) {
+            Some(Ok(prepared)) => return Some(prepared),
+            Some(Err(reason)) => (
+                FailReason::Poisoned {
+                    repr: key.repr.clone(),
                     reason,
-                    elapsed,
-                }),
-            }
+                },
+                Duration::ZERO,
+            ),
+            None => match guard::run_guarded(self.limits, prepare) {
+                RunOutcome::Ok(prepared) => {
+                    cache.insert(key, prepared.clone());
+                    return Some(prepared);
+                }
+                RunOutcome::Failed { reason, elapsed } => {
+                    cache.poison(key.clone(), reason.to_string());
+                    (reason, elapsed)
+                }
+            },
+        };
+        let poisoned = match &reason {
+            FailReason::Poisoned { .. } => reason.clone(),
+            fresh => FailReason::Poisoned {
+                repr: key.repr,
+                reason: fresh.to_string(),
+            },
+        };
+        let mut first = Some(RunOutcome::Failed { reason, elapsed });
+        for config in group {
+            let failed = first.take().unwrap_or_else(|| RunOutcome::Failed {
+                reason: poisoned.clone(),
+                elapsed: Duration::ZERO,
+            });
+            out.record(config.clone(), failed, self.target.0);
         }
-        out
+        None
+    }
+
+    /// Exhaustive sweep: evaluates every configuration on `threads`
+    /// workers and records each into `out` in configuration order, so the
+    /// champions, every tie-break and `evaluated` are identical for any
+    /// worker count. `eval` must be a pure function of the configuration;
+    /// it may run on any worker thread.
+    pub fn grid<C: Clone + Sync>(
+        &self,
+        threads: usize,
+        configs: impl IntoIterator<Item = C>,
+        eval: impl Fn(&C) -> (Effectiveness, PhaseBreakdown) + Sync,
+        out: &mut OptimizationOutcome<C>,
+    ) {
+        let configs: Vec<C> = configs.into_iter().collect();
+        let results = self.evaluate(threads, &configs, &eval);
+        for (config, result) in configs.into_iter().zip(results) {
+            out.record(config, result, self.target.0);
+        }
     }
 
     /// Ordered sweep stopping at the first feasible configuration.
@@ -238,130 +300,62 @@ impl Optimizer {
     /// `configs` must be ordered by non-decreasing candidate volume (e.g.
     /// ascending K, descending similarity threshold): PC is then
     /// non-decreasing along the sweep and the first feasible configuration
-    /// maximizes PQ among the feasible ones.
-    pub fn first_feasible<C: Clone>(
-        &self,
-        configs: impl IntoIterator<Item = C>,
-        mut eval: impl FnMut(&C) -> (Effectiveness, PhaseBreakdown),
-    ) -> OptimizationOutcome<C> {
-        let mut out = OptimizationOutcome::default();
-        for config in configs {
-            if out.attempted() >= self.max_evaluations {
-                break;
-            }
-            match guard::run_guarded(self.limits, || eval(&config)) {
-                RunOutcome::Ok((eff, breakdown)) => {
-                    let feasible = eff.pc >= self.target.0;
-                    out.consider(
-                        Evaluated {
-                            config,
-                            eff,
-                            breakdown,
-                        },
-                        self.target.0,
-                    );
-                    if feasible {
-                        break;
-                    }
-                }
-                // A failed point is infeasible: record it and keep
-                // sweeping.
-                RunOutcome::Failed { reason, elapsed } => out.failures.push(Failure {
-                    config,
-                    reason,
-                    elapsed,
-                }),
-            }
-        }
-        out
-    }
-
-    /// Parallel [`Optimizer::grid`] over an explicit worker count.
+    /// maximizes PQ among the feasible ones. A failed configuration is
+    /// infeasible: it is recorded and the sweep goes on.
     ///
-    /// Evaluations run on the [`crate::parallel`] pool (one configuration
-    /// per chunk — grid evaluations dominate scheduling overhead) and are
-    /// merged through [`OptimizationOutcome::consider`] in configuration
-    /// order, so the champion, every tie-break, and `evaluated` are
-    /// identical to the serial sweep for any `threads`.
-    ///
-    /// `eval` must be a pure function of the configuration; it may run on
-    /// any worker thread.
-    pub fn grid_par_with<C>(
+    /// One thread evaluates one configuration at a time, so nothing past
+    /// the stopping point runs. More threads evaluate speculative waves of
+    /// `threads × 2` and record only the in-order prefix up to the first
+    /// feasible configuration, so `out` ends up identical for any
+    /// `threads`.
+    pub fn first_feasible<C: Clone + Sync>(
         &self,
         threads: usize,
         configs: impl IntoIterator<Item = C>,
         eval: impl Fn(&C) -> (Effectiveness, PhaseBreakdown) + Sync,
-    ) -> OptimizationOutcome<C>
-    where
-        C: Clone + Send + Sync,
-    {
-        if threads <= 1 {
-            return self.grid(configs, eval);
-        }
-        // The serial sweep stops once `attempted` hits the budget, so it
-        // sees exactly the first `max_evaluations` configurations (every
-        // attempted configuration either succeeds or fails).
-        let configs: Vec<C> = configs.into_iter().take(self.max_evaluations).collect();
-        // The guard frame is installed inside the worker closure, so each
-        // evaluation is guarded on the thread that runs it.
-        let results = parallel::par_map_chunks_with(threads, &configs, 1, |_, c| {
-            guard::run_guarded(self.limits, || eval(&c[0]))
-        });
-        let mut out = OptimizationOutcome::default();
-        for (config, result) in configs.into_iter().zip(results) {
-            match result {
-                RunOutcome::Ok((eff, breakdown)) => out.consider(
-                    Evaluated {
-                        config,
-                        eff,
-                        breakdown,
-                    },
-                    self.target.0,
-                ),
-                RunOutcome::Failed { reason, elapsed } => out.failures.push(Failure {
-                    config,
-                    reason,
-                    elapsed,
-                }),
+        out: &mut OptimizationOutcome<C>,
+    ) {
+        let wave = if threads <= 1 { 1 } else { threads * 2 };
+        let mut configs = configs.into_iter();
+        loop {
+            let batch: Vec<C> = configs.by_ref().take(wave).collect();
+            if batch.is_empty() {
+                return;
+            }
+            let results = self.evaluate(threads, &batch, &eval);
+            for (config, result) in batch.into_iter().zip(results) {
+                if out.record(config, result, self.target.0) {
+                    return;
+                }
             }
         }
-        out
     }
 
-    /// [`Optimizer::grid_par_with`] using the global [`Threads`] count.
-    pub fn grid_par<C>(
+    /// Guarded evaluations of `configs`, one configuration per chunk (an
+    /// evaluation dominates scheduling overhead), in configuration order.
+    /// The guard frame is installed on the worker that runs it.
+    fn evaluate<C: Sync>(
         &self,
-        configs: impl IntoIterator<Item = C>,
-        eval: impl Fn(&C) -> (Effectiveness, PhaseBreakdown) + Sync,
-    ) -> OptimizationOutcome<C>
-    where
-        C: Clone + Send + Sync,
-    {
-        self.grid_par_with(Threads::get(), configs, eval)
+        threads: usize,
+        configs: &[C],
+        eval: &(impl Fn(&C) -> (Effectiveness, PhaseBreakdown) + Sync),
+    ) -> Vec<RunOutcome<(Effectiveness, PhaseBreakdown)>> {
+        parallel::par_map_chunks_with(threads, configs, 1, |_, c| {
+            guard::run_guarded(self.limits, || eval(&c[0]))
+        })
     }
 
-    /// Grouped grid sweep behind a shared [`ArtifactCache`].
+    /// Exhaustive sweep grouped by representation key behind a shared
+    /// [`ArtifactCache`].
     ///
-    /// Configurations are grouped by their representation key (`repr_of`);
-    /// each group's prepare-stage artifact is built **exactly once** — or
-    /// fetched from `cache` if an earlier sweep over the same dataset
-    /// already built it — and every member is then evaluated against the
-    /// shared [`Prepared`] via `eval`. Groups are processed in
-    /// first-occurrence order and members in configuration order, so for a
-    /// repr-major grid (the harness convention) the champion, tie-breaks,
-    /// and failure rows are identical to an ungrouped sweep.
-    ///
-    /// All cache mutations (lookup, insert, poison) happen serially on the
-    /// calling thread; only the query-stage evaluations fan out, sharing
-    /// the artifact by reference. The merged outcome is therefore
-    /// byte-identical for any `threads`.
-    ///
-    /// Fault isolation covers the prepare stage: a failing prepare poisons
-    /// the cache entry, records the original [`Failure`] for the group's
-    /// first member, and marks every remaining member (and every member of
-    /// any later group hitting the poisoned entry) as
-    /// [`FailReason::Poisoned`] with zero elapsed time — the sweep never
-    /// dies, and never re-runs a prepare known to fail.
+    /// Configurations are grouped by `repr_of`; each group's artifact is
+    /// fetched through [`Optimizer::fetch_prepared`] (built **exactly
+    /// once**, or taken from an earlier sweep over the same dataset) and
+    /// every member is evaluated against it by [`Optimizer::grid`]. Groups
+    /// run in first-occurrence order and members in configuration order,
+    /// so for a repr-major grid the champion, tie-breaks and failure rows
+    /// are identical to an ungrouped sweep. Cache mutations stay on the
+    /// calling thread; only the query-stage evaluations fan out.
     ///
     /// Each evaluated row's breakdown is the prepare breakdown merged with
     /// the query breakdown, with the amortized prepare share
@@ -371,7 +365,7 @@ impl Optimizer {
     // query); folding them into a trait object would cost more than the
     // argument count saves.
     #[allow(clippy::too_many_arguments)]
-    pub fn grid_grouped_with<C>(
+    pub fn grid_grouped<C: Clone + Sync>(
         &self,
         threads: usize,
         cache: &ArtifactCache,
@@ -380,221 +374,44 @@ impl Optimizer {
         repr_of: impl Fn(&C) -> String,
         prepare: impl Fn(&C) -> Prepared,
         eval: impl Fn(&C, &Prepared) -> (Effectiveness, PhaseBreakdown) + Sync,
-    ) -> OptimizationOutcome<C>
-    where
-        C: Clone + Send + Sync,
-    {
-        // Every attempted configuration either evaluates or fails, so
-        // truncating upfront is budget-equivalent to the serial stop.
-        let configs: Vec<C> = configs.into_iter().take(self.max_evaluations).collect();
-
-        // Group indices by representation key, preserving first-occurrence
-        // order of groups and configuration order within each group.
-        let mut group_order: Vec<String> = Vec::new();
-        let mut groups: FastMap<String, Vec<usize>> = FastMap::default();
-        for (i, config) in configs.iter().enumerate() {
-            let repr = repr_of(config);
-            let members = groups.entry(repr.clone()).or_default();
-            if members.is_empty() {
-                group_order.push(repr);
-            }
-            members.push(i);
+    ) -> OptimizationOutcome<C> {
+        let mut groups: Vec<(String, Vec<C>)> = Vec::new();
+        let mut slot_of: FastMap<String, usize> = FastMap::default();
+        for config in configs {
+            let repr = repr_of(&config);
+            let slot = *slot_of.entry(repr.clone()).or_insert_with(|| {
+                groups.push((repr, Vec::new()));
+                groups.len() - 1
+            });
+            groups[slot].1.push(config);
         }
 
         let mut out = OptimizationOutcome::default();
-        for repr in group_order {
-            let members = &groups[&repr];
-            let key = ArtifactKey::new(dataset_fp, repr.clone());
-            let prepared = match cache.lookup(&key) {
-                Some(Ok(prepared)) => prepared,
-                Some(Err(reason)) => {
-                    // Poisoned by an earlier sweep: replay the structured
-                    // failure for every member without re-running prepare.
-                    for &m in members {
-                        out.failures.push(Failure {
-                            config: configs[m].clone(),
-                            reason: FailReason::Poisoned {
-                                repr: repr.clone(),
-                                reason: reason.clone(),
-                            },
-                            elapsed: Duration::ZERO,
-                        });
-                    }
-                    continue;
-                }
-                None => match guard::run_guarded(self.limits, || prepare(&configs[members[0]])) {
-                    RunOutcome::Ok(prepared) => {
-                        cache.insert(key.clone(), prepared.clone());
-                        prepared
-                    }
-                    RunOutcome::Failed { reason, elapsed } => {
-                        let msg = reason.to_string();
-                        cache.poison(key.clone(), msg.clone());
-                        let mut iter = members.iter();
-                        if let Some(&first) = iter.next() {
-                            out.failures.push(Failure {
-                                config: configs[first].clone(),
-                                reason,
-                                elapsed,
-                            });
-                        }
-                        for &m in iter {
-                            out.failures.push(Failure {
-                                config: configs[m].clone(),
-                                reason: FailReason::Poisoned {
-                                    repr: repr.clone(),
-                                    reason: msg.clone(),
-                                },
-                                elapsed: Duration::ZERO,
-                            });
-                        }
-                        continue;
-                    }
-                },
+        for (repr, members) in groups {
+            let key = ArtifactKey::new(dataset_fp, repr);
+            let fetched =
+                self.fetch_prepared(cache, key, || prepare(&members[0]), &members, &mut out);
+            let Some(prepared) = fetched else {
+                continue;
             };
-
             let amortized = prepared.breakdown().prepare_total() / members.len() as u32;
-            let member_configs: Vec<&C> = members.iter().map(|&m| &configs[m]).collect();
-            let results = if threads <= 1 {
-                member_configs
-                    .iter()
-                    .map(|c| guard::run_guarded(self.limits, || eval(c, &prepared)))
-                    .collect::<Vec<_>>()
-            } else {
-                parallel::par_map_chunks_with(threads, &member_configs, 1, |_, c| {
-                    guard::run_guarded(self.limits, || eval(c[0], &prepared))
-                })
+            let eval = |c: &C| {
+                let (eff, query) = eval(c, &prepared);
+                let mut breakdown = prepared.breakdown().clone();
+                breakdown.merge(&query);
+                breakdown.set_amortized_prepare(amortized);
+                (eff, breakdown)
             };
-            for (&m, result) in members.iter().zip(results) {
-                match result {
-                    RunOutcome::Ok((eff, query_breakdown)) => {
-                        let mut breakdown = prepared.breakdown().clone();
-                        breakdown.merge(&query_breakdown);
-                        breakdown.set_amortized_prepare(amortized);
-                        out.consider(
-                            Evaluated {
-                                config: configs[m].clone(),
-                                eff,
-                                breakdown,
-                            },
-                            self.target.0,
-                        );
-                    }
-                    RunOutcome::Failed { reason, elapsed } => out.failures.push(Failure {
-                        config: configs[m].clone(),
-                        reason,
-                        elapsed,
-                    }),
-                }
-            }
+            self.grid(threads, members, eval, &mut out);
         }
         out
-    }
-
-    /// [`Optimizer::grid_grouped_with`] using the global [`Threads`]
-    /// count.
-    pub fn grid_grouped<C>(
-        &self,
-        cache: &ArtifactCache,
-        dataset_fp: u64,
-        configs: impl IntoIterator<Item = C>,
-        repr_of: impl Fn(&C) -> String,
-        prepare: impl Fn(&C) -> Prepared,
-        eval: impl Fn(&C, &Prepared) -> (Effectiveness, PhaseBreakdown) + Sync,
-    ) -> OptimizationOutcome<C>
-    where
-        C: Clone + Send + Sync,
-    {
-        self.grid_grouped_with(
-            Threads::get(),
-            cache,
-            dataset_fp,
-            configs,
-            repr_of,
-            prepare,
-            eval,
-        )
-    }
-
-    /// Parallel [`Optimizer::first_feasible`] over an explicit worker
-    /// count.
-    ///
-    /// Configurations are evaluated speculatively in waves of
-    /// `threads × 2`, but only the in-order prefix up to (and including)
-    /// the first feasible configuration reaches
-    /// [`OptimizationOutcome::consider`]; speculative evaluations past the
-    /// stopping point are discarded. The outcome — champions, tie-breaks,
-    /// and the `evaluated` count — is therefore identical to the serial
-    /// sweep for any `threads`, provided `eval` is a pure function of the
-    /// configuration.
-    pub fn first_feasible_par_with<C>(
-        &self,
-        threads: usize,
-        configs: impl IntoIterator<Item = C>,
-        eval: impl Fn(&C) -> (Effectiveness, PhaseBreakdown) + Sync,
-    ) -> OptimizationOutcome<C>
-    where
-        C: Clone + Send + Sync,
-    {
-        if threads <= 1 {
-            return self.first_feasible(configs, eval);
-        }
-        let configs: Vec<C> = configs.into_iter().take(self.max_evaluations).collect();
-        let mut out = OptimizationOutcome::default();
-        let wave = threads * 2;
-        let mut start = 0;
-        while start < configs.len() {
-            let end = (start + wave).min(configs.len());
-            let results =
-                parallel::par_map_chunks_with(threads, &configs[start..end], 1, |_, c| {
-                    guard::run_guarded(self.limits, || eval(&c[0]))
-                });
-            for (offset, result) in results.into_iter().enumerate() {
-                let config = configs[start + offset].clone();
-                match result {
-                    RunOutcome::Ok((eff, breakdown)) => {
-                        let feasible = eff.pc >= self.target.0;
-                        out.consider(
-                            Evaluated {
-                                config,
-                                eff,
-                                breakdown,
-                            },
-                            self.target.0,
-                        );
-                        if feasible {
-                            return out;
-                        }
-                    }
-                    RunOutcome::Failed { reason, elapsed } => out.failures.push(Failure {
-                        config,
-                        reason,
-                        elapsed,
-                    }),
-                }
-            }
-            start = end;
-        }
-        out
-    }
-
-    /// [`Optimizer::first_feasible_par_with`] using the global
-    /// [`Threads`] count.
-    pub fn first_feasible_par<C>(
-        &self,
-        configs: impl IntoIterator<Item = C>,
-        eval: impl Fn(&C) -> (Effectiveness, PhaseBreakdown) + Sync,
-    ) -> OptimizationOutcome<C>
-    where
-        C: Clone + Send + Sync,
-    {
-        self.first_feasible_par_with(Threads::get(), configs, eval)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn eff(pc: f64, pq: f64, candidates: usize) -> Effectiveness {
         Effectiveness {
@@ -603,6 +420,30 @@ mod tests {
             candidates,
             duplicates_found: 0,
         }
+    }
+
+    /// A fresh outcome of one exhaustive sweep.
+    fn grid<C: Clone + Sync>(
+        opt: &Optimizer,
+        threads: usize,
+        configs: impl IntoIterator<Item = C>,
+        eval: impl Fn(&C) -> (Effectiveness, PhaseBreakdown) + Sync,
+    ) -> OptimizationOutcome<C> {
+        let mut out = OptimizationOutcome::default();
+        opt.grid(threads, configs, eval, &mut out);
+        out
+    }
+
+    /// A fresh outcome of one first-feasible sweep.
+    fn first_feasible<C: Clone + Sync>(
+        opt: &Optimizer,
+        threads: usize,
+        configs: impl IntoIterator<Item = C>,
+        eval: impl Fn(&C) -> (Effectiveness, PhaseBreakdown) + Sync,
+    ) -> OptimizationOutcome<C> {
+        let mut out = OptimizationOutcome::default();
+        opt.first_feasible(threads, configs, eval, &mut out);
+        out
     }
 
     #[test]
@@ -614,7 +455,7 @@ mod tests {
             (0.70, 0.90, 5),
             (0.91, 0.25, 60),
         ];
-        let out = opt.grid(0..outcomes.len(), |&i| {
+        let out = grid(&opt, 1, 0..outcomes.len(), |&i| {
             (
                 eff(outcomes[i].0, outcomes[i].1, outcomes[i].2),
                 PhaseBreakdown::new(),
@@ -630,7 +471,7 @@ mod tests {
     fn grid_falls_back_to_max_pc() {
         let opt = Optimizer::new(0.9);
         let outcomes = [(0.5, 0.9), (0.8, 0.2), (0.6, 0.8)];
-        let out = opt.grid(0..3usize, |&i| {
+        let out = grid(&opt, 1, 0..3usize, |&i| {
             (eff(outcomes[i].0, outcomes[i].1, 10), PhaseBreakdown::new())
         });
         assert!(!out.is_feasible());
@@ -641,7 +482,7 @@ mod tests {
     fn grid_tie_breaks_on_fewer_candidates() {
         let opt = Optimizer::new(0.9);
         let outcomes = [(0.95, 0.3, 100), (0.95, 0.3, 40)];
-        let out = opt.grid(0..2usize, |&i| {
+        let out = grid(&opt, 1, 0..2usize, |&i| {
             (
                 eff(outcomes[i].0, outcomes[i].1, outcomes[i].2),
                 PhaseBreakdown::new(),
@@ -653,16 +494,20 @@ mod tests {
     #[test]
     fn first_feasible_stops_early() {
         let opt = Optimizer::new(0.75);
-        let mut calls = 0;
-        let out = opt.first_feasible(1..=100usize, |&k| {
-            calls += 1;
+        let calls = AtomicUsize::new(0);
+        let out = first_feasible(&opt, 1, 1..=100usize, |&k| {
+            calls.fetch_add(1, Ordering::SeqCst);
             // PC grows with k (binary-exact steps): feasible from k = 3.
             (
                 eff(0.25 * k as f64, 1.0 / k as f64, k),
                 PhaseBreakdown::new(),
             )
         });
-        assert_eq!(calls, 3);
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            3,
+            "one thread never speculates"
+        );
         assert_eq!(out.best().expect("best").config, 3);
         assert!(out.is_feasible());
     }
@@ -670,17 +515,29 @@ mod tests {
     #[test]
     fn first_feasible_exhausts_when_infeasible() {
         let opt = Optimizer::new(0.9);
-        let out = opt.first_feasible(1..=5usize, |&k| (eff(0.1, 0.5, k), PhaseBreakdown::new()));
+        let out = first_feasible(&opt, 1, 1..=5usize, |&k| {
+            (eff(0.1, 0.5, k), PhaseBreakdown::new())
+        });
         assert_eq!(out.evaluated, 5);
         assert!(!out.is_feasible());
         assert!(out.best().is_some());
     }
 
     #[test]
-    fn budget_caps_evaluations() {
-        let opt = Optimizer::new(0.9).with_budget(2);
-        let out = opt.grid(0..100usize, |_| (eff(0.95, 0.5, 10), PhaseBreakdown::new()));
-        assert_eq!(out.evaluated, 2);
+    fn first_feasible_accumulates_across_groups() {
+        // Two ordered groups into one outcome: each stops at its own first
+        // feasible point, `evaluated` sums both, and the champion is the
+        // PQ-best feasible point of either group.
+        let opt = Optimizer::new(0.5);
+        let mut out = OptimizationOutcome::default();
+        let eval = |&(g, k): &(usize, usize)| {
+            let pq = if g == 0 { 0.2 } else { 0.4 };
+            (eff(0.25 * k as f64, pq, k), PhaseBreakdown::new())
+        };
+        opt.first_feasible(1, (1..=9).map(|k| (0, k)), eval, &mut out);
+        opt.first_feasible(1, (1..=9).map(|k| (1, k)), eval, &mut out);
+        assert_eq!(out.evaluated, 4, "both groups stop at k = 2");
+        assert_eq!(out.best().expect("best").config, (1, 2));
     }
 
     /// Pseudo-random but pure configuration outcomes, exercising feasible
@@ -712,15 +569,13 @@ mod tests {
     }
 
     #[test]
-    fn grid_par_is_serial_identical() {
+    fn grid_is_serial_identical_across_threads() {
         for target in [0.5, 0.9, 1.1] {
-            for budget in [usize::MAX, 37] {
-                let opt = Optimizer::new(target).with_budget(budget);
-                let serial = opt.grid(0..100usize, synth_eval);
-                for threads in [1, 2, 3, 8] {
-                    let par = opt.grid_par_with(threads, 0..100usize, synth_eval);
-                    assert_outcome_eq(&par, &serial);
-                }
+            let opt = Optimizer::new(target);
+            let serial = grid(&opt, 1, 0..100usize, synth_eval);
+            for threads in [2, 3, 8] {
+                let par = grid(&opt, threads, 0..100usize, synth_eval);
+                assert_outcome_eq(&par, &serial);
             }
         }
     }
@@ -735,9 +590,9 @@ mod tests {
                 (eff(pc, 1.0 / k as f64, k), PhaseBreakdown::new())
             };
             let opt = Optimizer::new(0.999);
-            let serial = opt.first_feasible(1..=100usize, eval);
-            for threads in [1, 2, 3, 8] {
-                let par = opt.first_feasible_par_with(threads, 1..=100usize, eval);
+            let serial = first_feasible(&opt, 1, 1..=100usize, eval);
+            for threads in [2, 3, 8] {
+                let par = first_feasible(&opt, threads, 1..=100usize, eval);
                 assert_outcome_eq(&par, &serial);
             }
         }
@@ -754,7 +609,7 @@ mod tests {
     #[test]
     fn guarded_grid_records_failures_and_continues() {
         let opt = Optimizer::new(0.5).with_limits(Limits::catching());
-        let out = opt.grid(0..30usize, faulty_eval);
+        let out = grid(&opt, 1, 0..30usize, faulty_eval);
         assert_eq!(out.evaluated, 27);
         assert_eq!(out.failures.len(), 3);
         assert_eq!(
@@ -774,26 +629,21 @@ mod tests {
     #[should_panic(expected = "exploded")]
     fn unguarded_grid_still_propagates_panics() {
         let opt = Optimizer::new(0.5);
-        let _ = opt.grid(0..30usize, faulty_eval);
+        let _ = grid(&opt, 1, 0..30usize, faulty_eval);
     }
 
     #[test]
     fn guarded_grid_par_matches_guarded_serial() {
-        for budget in [usize::MAX, 17] {
-            let opt = Optimizer::new(0.9)
-                .with_budget(budget)
-                .with_limits(Limits::catching());
-            let serial = opt.grid(0..60usize, faulty_eval);
-            for threads in [2, 3, 8] {
-                let par = opt.grid_par_with(threads, 0..60usize, faulty_eval);
-                assert_outcome_eq(&par, &serial);
-                assert_eq!(par.failures.len(), serial.failures.len());
-                assert_eq!(
-                    par.failures.iter().map(|f| f.config).collect::<Vec<_>>(),
-                    serial.failures.iter().map(|f| f.config).collect::<Vec<_>>(),
-                    "threads={threads}"
-                );
-            }
+        let opt = Optimizer::new(0.9).with_limits(Limits::catching());
+        let serial = grid(&opt, 1, 0..60usize, faulty_eval);
+        for threads in [2, 3, 8] {
+            let par = grid(&opt, threads, 0..60usize, faulty_eval);
+            assert_outcome_eq(&par, &serial);
+            assert_eq!(
+                par.failures.iter().map(|f| f.config).collect::<Vec<_>>(),
+                serial.failures.iter().map(|f| f.config).collect::<Vec<_>>(),
+                "threads={threads}"
+            );
         }
     }
 
@@ -811,43 +661,20 @@ mod tests {
             )
         };
         let opt = Optimizer::new(0.999).with_limits(Limits::catching());
-        let serial = opt.first_feasible(0..100usize, eval);
+        let serial = first_feasible(&opt, 1, 0..100usize, eval);
         assert_eq!(serial.failures.len(), 1);
         assert_eq!(serial.best().expect("best").config, 12);
         for threads in [2, 8] {
-            let par = opt.first_feasible_par_with(threads, 0..100usize, eval);
+            let par = first_feasible(&opt, threads, 0..100usize, eval);
             assert_outcome_eq(&par, &serial);
             assert_eq!(par.failures.len(), 1);
             assert_eq!(par.failures[0].config, 10);
         }
     }
 
-    #[test]
-    fn budget_counts_failed_attempts() {
-        let opt = Optimizer::new(0.9)
-            .with_budget(15)
-            .with_limits(Limits::catching());
-        let out = opt.grid(0..100usize, faulty_eval);
-        assert_eq!(out.attempted(), 15);
-        assert_eq!(out.failures.len(), 2, "configs 0 and 10 fail");
-        assert_eq!(out.evaluated, 13);
-    }
-
-    #[test]
-    fn first_feasible_par_respects_budget() {
-        let opt = Optimizer::new(0.9).with_budget(5);
-        let serial = opt.first_feasible(0..100usize, synth_eval);
-        for threads in [2, 8] {
-            let par = opt.first_feasible_par_with(threads, 0..100usize, synth_eval);
-            assert_outcome_eq(&par, &serial);
-            assert!(par.evaluated <= 5);
-        }
-    }
-
     // ---- grouped sweeps behind the artifact cache -----------------------
 
     use crate::timing::Stage;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Repr-major grid: 4 representation groups × 5 query params each.
     fn grouped_configs() -> Vec<(usize, usize)> {
@@ -877,7 +704,9 @@ mod tests {
     /// The grouped sweep must select exactly the champion an ungrouped
     /// sweep over the same (group, param) outcomes selects.
     fn ungrouped_reference(opt: &Optimizer) -> OptimizationOutcome<(usize, usize)> {
-        opt.grid(grouped_configs(), |c| synth_eval(&(c.0 * 1000 + c.1)))
+        grid(opt, 1, grouped_configs(), |c| {
+            synth_eval(&(c.0 * 1000 + c.1))
+        })
     }
 
     #[test]
@@ -885,7 +714,7 @@ mod tests {
         let cache = ArtifactCache::new();
         let calls = AtomicUsize::new(0);
         let opt = Optimizer::new(0.5);
-        let out = opt.grid_grouped_with(
+        let out = opt.grid_grouped(
             1,
             &cache,
             7,
@@ -900,7 +729,7 @@ mod tests {
         assert_eq!(cache.stats().hits, 0);
 
         // A second sweep over the same dataset reuses every artifact.
-        let again = opt.grid_grouped_with(
+        let again = opt.grid_grouped(
             1,
             &cache,
             7,
@@ -951,7 +780,7 @@ mod tests {
             let reference = ungrouped_reference(&opt);
             let cache = ArtifactCache::new();
             let calls = AtomicUsize::new(0);
-            let grouped = opt.grid_grouped_with(
+            let grouped = opt.grid_grouped(
                 1,
                 &cache,
                 3,
@@ -969,7 +798,7 @@ mod tests {
         let opt = Optimizer::new(0.9);
         let serial_cache = ArtifactCache::new();
         let calls = AtomicUsize::new(0);
-        let serial = opt.grid_grouped_with(
+        let serial = opt.grid_grouped(
             1,
             &serial_cache,
             11,
@@ -980,7 +809,7 @@ mod tests {
         );
         for threads in [2, 3, 8] {
             let cache = ArtifactCache::new();
-            let par = opt.grid_grouped_with(
+            let par = opt.grid_grouped(
                 threads,
                 &cache,
                 11,
@@ -1005,7 +834,7 @@ mod tests {
             }
             grouped_prepare(c, &calls)
         };
-        let out = opt.grid_grouped_with(
+        let out = opt.grid_grouped(
             1,
             &cache,
             5,
@@ -1035,7 +864,7 @@ mod tests {
         // A later sweep hits the poisoned entry: the prepare never re-runs
         // and every member replays a structured Poisoned failure.
         let before = calls.load(Ordering::SeqCst);
-        let replay = opt.grid_grouped_with(
+        let replay = opt.grid_grouped(
             1,
             &cache,
             5,
@@ -1056,33 +885,11 @@ mod tests {
     }
 
     #[test]
-    fn grouped_respects_budget() {
-        let cache = ArtifactCache::new();
-        let calls = AtomicUsize::new(0);
-        let opt = Optimizer::new(0.5).with_budget(7);
-        let out = opt.grid_grouped_with(
-            1,
-            &cache,
-            9,
-            grouped_configs(),
-            grouped_repr,
-            |c| grouped_prepare(c, &calls),
-            grouped_eval,
-        );
-        assert_eq!(out.attempted(), 7);
-        assert_eq!(
-            calls.load(Ordering::SeqCst),
-            2,
-            "7 configs span groups 0 and 1 only"
-        );
-    }
-
-    #[test]
     fn grouped_rows_carry_amortized_prepare() {
         let cache = ArtifactCache::new();
         let calls = AtomicUsize::new(0);
         let opt = Optimizer::new(0.0);
-        let out = opt.grid_grouped_with(
+        let out = opt.grid_grouped(
             1,
             &cache,
             13,

@@ -6,7 +6,7 @@
 use crate::candidates::{CandidateSet, Pair};
 use crate::dataset::GroundTruth;
 use crate::metrics::{evaluate, Effectiveness};
-use crate::optimize::Optimizer;
+use crate::optimize::{OptimizationOutcome, Optimizer};
 use crate::rankings::QueryRankings;
 use crate::timing::PhaseBreakdown;
 use proptest::prelude::*;
@@ -107,13 +107,14 @@ proptest! {
         target in 0.1f64..0.95,
     ) {
         let opt = Optimizer::new(target);
-        let result = opt.grid(0..outcomes.len(), |&i| {
+        let mut result = OptimizationOutcome::default();
+        opt.grid(1, 0..outcomes.len(), |&i| {
             let (pc, pq) = outcomes[i];
             (
                 Effectiveness { pc, pq, candidates: i + 1, duplicates_found: 0 },
                 PhaseBreakdown::new(),
             )
-        });
+        }, &mut result);
         prop_assert_eq!(result.evaluated, outcomes.len());
         let feasible: Vec<&(f64, f64)> =
             outcomes.iter().filter(|(pc, _)| *pc >= target).collect();

@@ -12,44 +12,30 @@
 //! similarity thresholds (ε-Join) on this noisy data — the paper's
 //! conclusion 3.
 
-use er::core::optimize::GridResolution;
+use er::core::optimize::{GridResolution, OptimizationOutcome};
 use er::core::schema::attribute_stats;
 use er::prelude::*;
 
-fn optimize_epsilon(view: &er::core::TextView, ds: &Dataset) -> Option<(EpsilonJoin, f64, f64)> {
+/// Fine-tunes one method group by group (each ordered group sweeps until
+/// its first feasible configuration) into one outcome and returns the
+/// PQ-best feasible configuration with its PC and PQ.
+fn optimize<F: Filter + Clone + Sync>(
+    groups: Vec<Vec<F>>,
+    view: &er::core::TextView,
+    ds: &Dataset,
+) -> Option<(F, f64, f64)> {
     let optimizer = Optimizer::new(0.9);
-    let mut best: Option<(EpsilonJoin, f64, f64)> = None;
-    for group in er::sparse::epsilon_grid(GridResolution::Quick) {
-        let outcome = optimizer.first_feasible(group, |cfg| {
-            let out = cfg.run(view);
-            (evaluate(&out.candidates, &ds.groundtruth), out.breakdown)
-        });
-        if outcome.is_feasible() {
-            let ev = outcome.best().expect("feasible implies best");
-            if best.as_ref().map_or(true, |(_, _, pq)| ev.eff.pq > *pq) {
-                best = Some((ev.config, ev.eff.pc, ev.eff.pq));
-            }
-        }
+    let mut outcome = OptimizationOutcome::default();
+    let eval = |cfg: &F| {
+        let out = cfg.run(view);
+        (evaluate(&out.candidates, &ds.groundtruth), out.breakdown)
+    };
+    for group in groups {
+        optimizer.first_feasible(1, group, eval, &mut outcome);
     }
-    best
-}
-
-fn optimize_knn(view: &er::core::TextView, ds: &Dataset) -> Option<(KnnJoin, f64, f64)> {
-    let optimizer = Optimizer::new(0.9);
-    let mut best: Option<(KnnJoin, f64, f64)> = None;
-    for group in er::sparse::knn_grid(GridResolution::Quick) {
-        let outcome = optimizer.first_feasible(group, |cfg| {
-            let out = cfg.run(view);
-            (evaluate(&out.candidates, &ds.groundtruth), out.breakdown)
-        });
-        if outcome.is_feasible() {
-            let ev = outcome.best().expect("feasible implies best");
-            if best.as_ref().map_or(true, |(_, _, pq)| ev.eff.pq > *pq) {
-                best = Some((ev.config, ev.eff.pc, ev.eff.pq));
-            }
-        }
-    }
-    best
+    outcome
+        .best_feasible
+        .map(|ev| (ev.config, ev.eff.pc, ev.eff.pq))
 }
 
 fn main() {
@@ -97,7 +83,11 @@ fn main() {
 
     // (iii) Similarity vs cardinality thresholds, both fine-tuned.
     println!("\nfine-tuned on the schema-agnostic view (target PC >= 0.9):");
-    match optimize_epsilon(&agnostic, &ds) {
+    match optimize(
+        er::sparse::epsilon_grid(GridResolution::Quick),
+        &agnostic,
+        &ds,
+    ) {
         Some((cfg, pc, pq)) => {
             println!(
                 "  e-Join   best: {:<40} PC = {pc:.3}, PQ = {pq:.4}",
@@ -106,7 +96,7 @@ fn main() {
         }
         None => println!("  e-Join   found no feasible configuration"),
     }
-    match optimize_knn(&agnostic, &ds) {
+    match optimize(er::sparse::knn_grid(GridResolution::Quick), &agnostic, &ds) {
         Some((cfg, pc, pq)) => {
             println!(
                 "  kNN-Join best: {:<40} PC = {pc:.3}, PQ = {pq:.4}",

@@ -11,7 +11,7 @@
 //! the paper's Problem 1 (maximize precision subject to recall ≥ 0.9) on a
 //! generated Walmart-Amazon-style dataset.
 
-use er::core::optimize::GridResolution;
+use er::core::optimize::{GridResolution, OptimizationOutcome};
 use er::prelude::*;
 
 fn catalog() -> Dataset {
@@ -106,18 +106,17 @@ fn main() {
     let big = generate(er::datagen::profiles::profile("D8").expect("D8"), 0.05, 3);
     let big_view = text_view(&big, &SchemaMode::Agnostic);
     let optimizer = Optimizer::new(0.9);
-    let mut best: Option<(KnnJoin, f64, f64)> = None;
+    let mut outcome = OptimizationOutcome::default();
+    let eval = |cfg: &KnnJoin| {
+        let out = cfg.run(&big_view);
+        (evaluate(&out.candidates, &big.groundtruth), out.breakdown)
+    };
     for group in er::sparse::knn_grid(GridResolution::Quick) {
-        let outcome = optimizer.first_feasible(group, |cfg| {
-            let out = cfg.run(&big_view);
-            (evaluate(&out.candidates, &big.groundtruth), out.breakdown)
-        });
-        if let Some(ev) = outcome.best() {
-            if outcome.is_feasible() && best.as_ref().map_or(true, |(_, _, pq)| ev.eff.pq > *pq) {
-                best = Some((ev.config, ev.eff.pc, ev.eff.pq));
-            }
-        }
+        optimizer.first_feasible(1, group, eval, &mut outcome);
     }
+    let best = outcome
+        .best_feasible
+        .map(|ev| (ev.config, ev.eff.pc, ev.eff.pq));
     match best {
         Some((cfg, pc, pq)) => {
             println!(

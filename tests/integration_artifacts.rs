@@ -195,15 +195,86 @@ fn prepare_faults_poison_dependents_and_stay_thread_invariant() {
         }
     }
 
+    // One plan per cache-fetch path: the blocking families' raw blocks,
+    // MinHash's grouped grid, Hyperplane LSH's probe groups, and a
+    // probabilistic sparse prefix that poisons only some (CL, RM) groups.
+    // The fault grammar ends a site at its first ':', so each prefix
+    // stops at the family name.
+    let partial = sweep_settings(&[
+        "--inject-faults",
+        "panic@prepare/blocks*;panic@prepare/mh*;panic@prepare/hp*;\
+         panic@prepare/sparse*:p=0.5,seed=3",
+    ]);
+    let partial_plan = partial.faults.clone().expect("plan");
+    let mixed =
+        faults::with_plan(partial_plan.clone(), || run_sweep(&partial, 1, false)).expect("sweep");
+    let errors: Vec<(&str, &str)> = mixed[0]
+        .outcomes
+        .iter()
+        .filter_map(|o| Some((o.method.as_str(), o.error.as_deref()?)))
+        .collect();
+    assert_eq!(
+        errors,
+        [
+            ("SBW", "panicked: injected fault: panic at prepare/blocks:Standard"),
+            ("QBW", "panicked: injected fault: panic at prepare/blocks:QGrams { q: 3 }"),
+            (
+                "EQBW",
+                "panicked: injected fault: panic at prepare/blocks:ExtendedQGrams { q: 3, t: 0.9 }"
+            ),
+            (
+                "SABW",
+                "panicked: injected fault: panic at prepare/blocks:SuffixArrays { l_min: 3, b_max: 25 }"
+            ),
+            (
+                "ESABW",
+                "panicked: injected fault: panic at \
+                 prepare/blocks:ExtendedSuffixArrays { l_min: 3, b_max: 25 }"
+            ),
+            ("MH-LSH", "panicked: injected fault: panic at prepare/mh:CL=y:k=3:b=32:r=8:s=b"),
+            (
+                "HP-LSH",
+                "panicked: injected fault: panic at prepare/hp:CL=y:T=8:H=8:s=b:d32g3-5s5eed"
+            ),
+        ]
+    );
+    // The partially poisoned sparse methods still report a measured row;
+    // `evaluated` counts only the configurations of surviving groups.
+    let row = |name: &str| {
+        let o = mixed[0]
+            .outcomes
+            .iter()
+            .find(|o| o.method == name)
+            .expect("row");
+        (o.config.as_str(), o.evaluated, o.pc)
+    };
+    assert_eq!(
+        row("e-Join"),
+        ("CL=y RM=T1G SM=Cosine t=0.60", 5, 0.9322033898305084)
+    );
+    assert_eq!(
+        row("kNN-Join"),
+        ("CL=y RVS=- RM=T1G SM=Cosine K=1", 1, 0.923728813559322)
+    );
+    for (c, m) in clean[0].outcomes.iter().zip(&mixed[0].outcomes) {
+        if !["e-Join", "kNN-Join"].contains(&c.method.as_str()) && m.error.is_none() {
+            assert_eq!(stable(c), stable(m), "{}", c.method);
+        }
+    }
+
     // The deterministic report artifact is thread-count invariant, with
-    // and without the injected prepare fault.
+    // and without the injected prepare faults.
     let faulted_csv = sweep_csv(&faulted, false);
     let clean_csv = sweep_csv(&clean, false);
+    let mixed_csv = sweep_csv(&mixed, false);
     Threads::set(8);
     let clean8 = run_sweep(&sweep_settings(&[]), 1, false).expect("8-thread sweep");
     let faulted8 = faults::with_plan(plan, || run_sweep(&s, 1, false)).expect("8-thread sweep");
+    let mixed8 =
+        faults::with_plan(partial_plan, || run_sweep(&partial, 1, false)).expect("8-thread sweep");
     assert_eq!(sweep_csv(&clean8, false), clean_csv);
     assert_eq!(sweep_csv(&faulted8, false), faulted_csv);
+    assert_eq!(sweep_csv(&mixed8, false), mixed_csv);
     Threads::set(0);
 }
 
@@ -217,7 +288,7 @@ fn eviction_under_budget_is_deterministic_across_thread_counts() {
         let opt = Optimizer::new(0.9);
         let configs: Vec<(usize, usize)> =
             (0..6).flat_map(|g| (0..3).map(move |i| (g, i))).collect();
-        let outcome = opt.grid_grouped_with(
+        let outcome = opt.grid_grouped(
             threads,
             &cache,
             7,

@@ -33,6 +33,43 @@ fn sweep(id: &str, mode: SchemaMode) -> Vec<MethodOutcome> {
     run_all_methods(&ctx)
 }
 
+/// The D2 × 0.08 (seed 23, quick grid, dim 64) sweep, row by row.
+const PINNED_D2: [&str; 17] = [
+    "SBW|Standard | BP | BF(r=0.5) | WEP+JS|0.9302325581395349|1.0|80.0|true|52|-",
+    "QBW|Q-Grams(q=3) | BF(r=0.5) | BLAST+ARCS|1.0|0.9347826086956522|92.0|true|52|-",
+    "EQBW|ExtQGrams(q=3,t=0.9) | BLAST+ARCS|1.0|0.9662921348314607|89.0|true|52|-",
+    "SABW|SuffixArrays(lmin=3,bmax=25) | BLAST+ARCS|0.9883720930232558|0.8762886597938144|97.0|true|26|-",
+    "ESABW|ExtSuffixArrays(lmin=3,bmax=25) | BLAST+ARCS|1.0|0.8349514563106796|103.0|true|26|-",
+    "PBW|Standard | BP | CP|1.0|0.3944954128440367|218.0|true|1|-",
+    "DBW|Q-Grams(q=6) | BF(r=0.5) | WEP+ECBS|1.0|0.09398907103825137|915.0|true|1|-",
+    "e-Join|CL=y RM=T1G SM=Cosine t=0.60|0.9534883720930233|1.0|82.0|true|10|-",
+    "kNN-Join|CL=y RVS=- RM=C3G SM=Cosine K=1|1.0|1.0|86.0|true|2|-",
+    "DkNN|CL=y RVS=- RM=C5GM SM=Cosine K=5|1.0|0.19369369369369369|444.0|true|1|-",
+    "MH-LSH|CL=y bands=64 rows=2 k=3|1.0|0.02075790489983104|4143.0|true|2|-",
+    "CP-LSH|CL=y tables=8 hashes=1 cpdim=32 probes=1|0.9651162790697675|0.030247813411078718|2744.0|true|1|-",
+    "HP-LSH|CL=y tables=8 hashes=8 probes=8|1.0|0.024184476940382452|3556.0|true|2|-",
+    "FAISS|CL=y RVS=- K=1|0.9767441860465116|0.9767441860465116|86.0|true|1|-",
+    "SCANN|CL=y RVS=- K=1 index=BF sim=L2^2|0.9418604651162791|0.9418604651162791|86.0|true|1|-",
+    "DeepBlocker|CL=y RVS=- K=5|0.9302325581395349|0.18604651162790697|430.0|true|3|-",
+    "DDB|CL=y RVS=- K=5|0.9883720930232558|0.19767441860465115|430.0|true|1|-",
+];
+
+/// One sweep row as `method|config|pc|pq|candidates|feasible|evaluated|error`,
+/// measures printed with `{:?}` so a pin compares them bit for bit.
+fn pin_line(o: &MethodOutcome) -> String {
+    format!(
+        "{}|{}|{:?}|{:?}|{:?}|{}|{}|{}",
+        o.method,
+        o.config,
+        o.pc,
+        o.pq,
+        o.candidates,
+        o.feasible,
+        o.evaluated,
+        o.error.as_deref().unwrap_or("-")
+    )
+}
+
 fn by_name<'a>(outcomes: &'a [MethodOutcome], name: &str) -> &'a MethodOutcome {
     outcomes
         .iter()
@@ -44,6 +81,10 @@ fn by_name<'a>(outcomes: &'a [MethodOutcome], name: &str) -> &'a MethodOutcome {
 fn mini_table7_reproduces_headline_findings() {
     let outcomes = sweep("D2", SchemaMode::Agnostic);
     assert_eq!(outcomes.len(), 17, "all 17 table rows present");
+    // Every row pinned: a rewrite of the Problem-1 driver must reproduce
+    // each method's configuration, measures and evaluation count.
+    let rows: Vec<String> = outcomes.iter().map(pin_line).collect();
+    assert_eq!(rows, PINNED_D2, "the 17-row D2 sweep changed");
 
     // Finding: every fine-tuned method reaches the recall target in the
     // schema-agnostic settings (paper Section VI).

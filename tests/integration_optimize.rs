@@ -4,7 +4,7 @@
 //! baselines — the paper's headline "fine-tuning vs default parameters"
 //! finding.
 
-use er::core::optimize::GridResolution;
+use er::core::optimize::{GridResolution, OptimizationOutcome};
 use er::prelude::*;
 
 fn dataset(id: &str, scale: f64) -> Dataset {
@@ -30,10 +30,12 @@ fn epsilon_sweep_picks_highest_feasible_threshold() {
             threshold: i as f64 / 20.0,
         })
         .collect();
-    let outcome = optimizer.first_feasible(configs.clone(), |cfg| {
+    let mut outcome = OptimizationOutcome::default();
+    let eval = |cfg: &EpsilonJoin| {
         let out = cfg.run(&view);
         (evaluate(&out.candidates, &ds.groundtruth), out.breakdown)
-    });
+    };
+    optimizer.first_feasible(1, configs.clone(), eval, &mut outcome);
     assert!(outcome.is_feasible(), "clean D4 must be solvable");
     let best = outcome.best().expect("feasible");
     // Every *higher* threshold must be infeasible (the sweep is tight).
@@ -106,23 +108,6 @@ fn fine_tuned_knn_beats_dknn_baseline() {
         knn.pq,
         dknn.pq
     );
-}
-
-#[test]
-fn optimizer_respects_budget_cap() {
-    let optimizer = Optimizer::new(0.9).with_budget(5);
-    let outcome = optimizer.grid(0..100, |_| {
-        (
-            er::core::Effectiveness {
-                pc: 1.0,
-                pq: 0.5,
-                candidates: 1,
-                duplicates_found: 1,
-            },
-            er::core::PhaseBreakdown::new(),
-        )
-    });
-    assert_eq!(outcome.evaluated, 5);
 }
 
 #[test]

@@ -95,18 +95,26 @@ fn optimizer_grid_is_thread_count_invariant_on_generated_data() {
         (evaluate(&out.candidates, &gt), out.breakdown)
     };
 
-    let serial = optimizer.grid_par_with(1, configs.clone(), eval);
+    let grid = |threads: usize| {
+        let mut out = OptimizationOutcome::default();
+        optimizer.grid(threads, configs.clone(), eval, &mut out);
+        out
+    };
+    let serial = grid(1);
     for threads in [2, 8] {
-        let par = optimizer.grid_par_with(threads, configs.clone(), eval);
-        assert_outcomes_identical(&serial, &par, &format!("grid threads={threads}"));
+        assert_outcomes_identical(&serial, &grid(threads), &format!("grid threads={threads}"));
     }
 
-    let ff_serial = optimizer.first_feasible_par_with(1, configs.clone(), eval);
+    let first_feasible = |threads: usize| {
+        let mut out = OptimizationOutcome::default();
+        optimizer.first_feasible(threads, configs.clone(), eval, &mut out);
+        out
+    };
+    let ff_serial = first_feasible(1);
     for threads in [2, 8] {
-        let par = optimizer.first_feasible_par_with(threads, configs.clone(), eval);
         assert_outcomes_identical(
             &ff_serial,
-            &par,
+            &first_feasible(threads),
             &format!("first_feasible threads={threads}"),
         );
     }
