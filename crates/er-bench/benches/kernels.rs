@@ -14,7 +14,7 @@ use er::dense::{
 use er::sparse::{RepresentationModel, ScanCountIndex, ScanCountScratch};
 use er::text::Cleaner;
 
-fn bench_kernels(c: &mut Criterion) {
+fn bench_kernel_layouts(c: &mut Criterion) {
     // Synthetic vectors at the embedding dims the study sweeps. `dot` and
     // `l2_sq` dispatch to the SIMD kernels when the host supports them,
     // so the blocked rows isolate the dispatch win.
@@ -115,6 +115,6 @@ criterion_group! {
         .sample_size(20)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(1));
-    targets = bench_kernels
+    targets = bench_kernel_layouts
 }
 criterion_main!(benches);

@@ -36,4 +36,4 @@ pub use settings::Settings;
 pub use shard::{peak_rss_bytes, run_shard_sweep, ShardSweepOutcome};
 pub use store::{all_codecs, open_store, open_store_read_only};
 pub use stream::run_stream;
-pub use sweep::{bench_prepare, run_sweep, Column};
+pub use sweep::{run_sweep, Column};

@@ -25,7 +25,7 @@
 //! list exactly — the *report is byte-identical at any shard count and
 //! any thread count*. Everything that legitimately varies (shard count,
 //! timings, peak RSS, cache traffic) goes to the separate
-//! `BENCH_shard.json` document instead.
+//! [`ShardSweepOutcome::bench`] document instead.
 
 use crate::jsonl::Json;
 use crate::settings::Settings;
@@ -55,7 +55,7 @@ pub struct ShardSweepOutcome {
     /// spec, aggregate candidate statistics and the candidate digest —
     /// never timings, shard counts or host state.
     pub report: String,
-    /// The per-run metrics document (`BENCH_shard.json`): throughput,
+    /// The per-run metrics document (`er sweep --shard-bench`): throughput,
     /// peak RSS, shard count, cache counters including `unmaps`.
     pub bench: Json,
 }

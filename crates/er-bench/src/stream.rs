@@ -221,9 +221,7 @@ fn candidate_hash(merged: &[Vec<u32>]) -> u64 {
     h
 }
 
-/// The fixed join the stream benchmarks — same configuration as the
-/// segmented pass of `--bench-prepare`, so the two reports are directly
-/// comparable.
+/// The fixed join the stream benchmarks.
 fn stream_join(model: RepresentationModel) -> EpsilonJoin {
     EpsilonJoin {
         cleaning: false,

@@ -11,8 +11,7 @@
 //! run's.
 
 use crate::checkpoint::{Checkpoint, CheckpointWriter};
-use crate::harness::{run_all_methods, run_method, Context, MethodId, MethodOutcome};
-use crate::jsonl::Json;
+use crate::harness::{run_method, Context, MethodId, MethodOutcome};
 use crate::settings::Settings;
 use er::core::artifacts::{ArtifactCache, CacheStats};
 use er::core::optimize::Optimizer;
@@ -24,7 +23,6 @@ use er::dense::EmbeddingConfig;
 use std::io;
 use std::path::Path;
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// One evaluated column of Table VII.
 #[derive(Debug, Clone)]
@@ -282,251 +280,4 @@ pub fn run_sweep(
         })
     };
     columns.into_iter().collect()
-}
-
-/// The deterministic report columns of an outcome — everything the final
-/// table prints except wall-clock runtimes, which legitimately differ
-/// between passes.
-fn stable_row(o: &MethodOutcome) -> String {
-    format!(
-        "{}|pc={}|pq={}|cand={}|cfg={}|feasible={}|evaluated={}|err={:?}",
-        o.method, o.pc, o.pq, o.candidates, o.config, o.feasible, o.evaluated, o.error
-    )
-}
-
-fn stats_delta_obj(wall: Duration, before: &CacheStats, after: &CacheStats) -> Json {
-    let hits = after.hits - before.hits;
-    let misses = after.misses - before.misses;
-    let lookups = hits + misses;
-    let prepare = after.prepare_wall - before.prepare_wall;
-    Json::Obj(vec![
-        ("wall_s".to_owned(), Json::Num(wall.as_secs_f64())),
-        ("prepare_s".to_owned(), Json::Num(prepare.as_secs_f64())),
-        ("hits".to_owned(), Json::Num(hits as f64)),
-        ("misses".to_owned(), Json::Num(misses as f64)),
-        (
-            "hit_rate".to_owned(),
-            Json::Num(if lookups == 0 {
-                0.0
-            } else {
-                hits as f64 / lookups as f64
-            }),
-        ),
-        (
-            "store_hits".to_owned(),
-            Json::Num((after.store_hits - before.store_hits) as f64),
-        ),
-        (
-            "store_corrupt".to_owned(),
-            Json::Num((after.corrupt - before.corrupt) as f64),
-        ),
-    ])
-}
-
-/// Runs the sweep's first column three times — cold, warm-memory and
-/// warm-disk — and writes a one-line JSON summary of the prepare-stage
-/// savings to `path`.
-///
-/// The cold and warm passes share one artifact cache (the warm pass
-/// measures memory-tier reuse). The disk pass then starts a *fresh* cache
-/// over a scratch store directory the cold pass flushed into — the
-/// cross-process scenario of `--store-dir` — so its prepare time counts
-/// only what the persistent tier failed to serve. The scratch directory
-/// lives next to `path` and is wiped before and after, keeping the cold
-/// pass honestly cold regardless of earlier runs.
-///
-/// `prepare_s` counts wall time spent inside cache-managed prepare
-/// stages. A warm pass that did no prepare work has no meaningful ratio,
-/// so `prepare_speedup` is `null` whenever the warm pass spent under 1µs
-/// preparing (a cold ÷ ~0 ratio would be meaningless noise); the absolute
-/// `prepare_cold_s` / `prepare_warm_s` / `prepare_disk_s` fields always
-/// carry the raw seconds. `reports_identical` asserts neither cache tier
-/// ever changes results: all three passes must agree on every
-/// deterministic report column (pc / pq / candidates / config /
-/// feasibility / error).
-pub fn bench_prepare(settings: &Settings, path: &Path, verbose: bool) -> io::Result<()> {
-    let spec = column_specs(settings).into_iter().next().ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "bench-prepare: no datasets selected",
-        )
-    })?;
-    let store_dir = path.with_extension("store.tmp");
-    match std::fs::remove_dir_all(&store_dir) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e),
-    }
-    let ds = generate(spec.profile, settings.scale, settings.seed);
-    let view = text_view(&ds, &spec.mode);
-
-    let run_pass = |cache: &ArtifactCache, name: &str| {
-        let ctx = Context {
-            optimizer: Optimizer::new(settings.target_pc).with_limits(settings.limits()),
-            resolution: settings.resolution,
-            embedding: EmbeddingConfig {
-                dim: settings.dim,
-                ..Default::default()
-            },
-            seed: settings.seed,
-            reps: settings.reps,
-            label: spec.label.clone(),
-            ..Context::new(&view, &ds.groundtruth, cache)
-        };
-        let before = cache.stats();
-        let sw = er::core::Stopwatch::start();
-        let outcomes = run_all_methods(&ctx);
-        let wall = sw.elapsed();
-        let after = cache.stats();
-        if verbose {
-            eprintln!(
-                "bench-prepare [{}] {name}: wall {} / prepare {} / {} hits / {} misses / \
-                 {} store hits",
-                spec.label,
-                format_runtime(wall),
-                format_runtime(after.prepare_wall - before.prepare_wall),
-                after.hits - before.hits,
-                after.misses - before.misses,
-                after.store_hits - before.store_hits,
-            );
-        }
-        (outcomes, wall, before, after)
-    };
-
-    let warm_cache = ArtifactCache::new();
-    warm_cache.set_budget(settings.cache_budget);
-    warm_cache.set_store(Some(std::sync::Arc::new(crate::store::open_store(
-        &store_dir,
-    )?)));
-    let (cold, cold_wall, cold_before, cold_after) = run_pass(&warm_cache, "cold");
-    let (warm, warm_wall, warm_before, warm_after) = run_pass(&warm_cache, "warm");
-    warm_cache.flush_store();
-
-    // Fresh cache over the now-populated store: the cross-process restart.
-    let disk_cache = ArtifactCache::new();
-    disk_cache.set_budget(settings.cache_budget);
-    disk_cache.set_store(Some(std::sync::Arc::new(crate::store::open_store(
-        &store_dir,
-    )?)));
-    let (disk, disk_wall, disk_before, disk_after) = run_pass(&disk_cache, "disk");
-    let _ = std::fs::remove_dir_all(&store_dir);
-
-    // Segmented warm pass (streaming-ingest scenario): replay the indexed
-    // side as an insert log in four batches, sealing a segment after each
-    // batch but the last so the merged query path crosses real segment
-    // boundaries *and* a live delta. The merged epsilon candidates are
-    // then checked bitwise against a from-scratch prepare of the same
-    // rows — the invariant `er sweep --stream` and `er serve` rely on.
-    let model = er::sparse::RepresentationModel::parse("T1G").expect("T1G parses");
-    let cleaner = er::text::Cleaner::off();
-    let tokenize = |texts: &[String]| -> Vec<Vec<u64>> {
-        texts.iter().map(|t| model.token_set(t, &cleaner)).collect()
-    };
-    let rows = tokenize(&view.e1);
-    let query_raw = tokenize(&view.e2);
-    let join = er::sparse::EpsilonJoin {
-        cleaning: false,
-        model,
-        measure: er::sparse::SimilarityMeasure::Jaccard,
-        threshold: 0.3,
-    };
-    let threads = parallel::Threads::get();
-    let seg_sw = er::core::Stopwatch::start();
-    let mut seg = er::sparse::SegmentedTokenSets::new("bench/segmented", query_raw.clone());
-    let batch = rows.len().div_ceil(4).max(1);
-    for (i, chunk) in rows.chunks(batch).enumerate() {
-        for (off, tokens) in chunk.iter().enumerate() {
-            seg.upsert((i * batch + off) as u32, tokens.clone());
-        }
-        if (i + 1) * batch < rows.len() {
-            seg.flush();
-        }
-    }
-    let merged = seg.epsilon_batch(&join, threads);
-    let seg_wall = seg_sw.elapsed();
-    let (segments, delta_rows) = (seg.segment_count(), seg.delta_rows());
-
-    // Full-rebuild oracle: with ids 0..n and no deletes, dense positions
-    // *are* the stable ids, so the artifact's rows compare directly.
-    let (index, index_sets) = er::sparse::ScanCountIndex::build_with_sets(&rows);
-    let query_sets = index.intern_queries(&query_raw);
-    let art = er::sparse::TokenSetsArtifact {
-        index_sets,
-        query_sets,
-        index,
-    };
-    let mut scratch = er::sparse::ScanCountScratch::default();
-    let mut hits = Vec::new();
-    let merge_matches_rebuild = (0..query_raw.len()).all(|j| {
-        let mut out = Vec::new();
-        join.query_row_into(&art, j, &mut scratch, &mut hits, &mut out);
-        out == merged[j]
-    });
-    if verbose {
-        eprintln!(
-            "bench-prepare [{}] segmented: wall {} / {} segments / {} delta rows / merge {}",
-            spec.label,
-            format_runtime(seg_wall),
-            segments,
-            delta_rows,
-            if merge_matches_rebuild {
-                "ok"
-            } else {
-                "MISMATCH"
-            },
-        );
-    }
-
-    let identical = [&warm, &disk].iter().all(|pass| {
-        cold.len() == pass.len()
-            && cold
-                .iter()
-                .zip(pass.iter())
-                .all(|(a, b)| stable_row(a) == stable_row(b))
-    });
-    let cold_prepare = (cold_after.prepare_wall - cold_before.prepare_wall).as_secs_f64();
-    let warm_prepare = (warm_after.prepare_wall - warm_before.prepare_wall).as_secs_f64();
-    let disk_prepare = (disk_after.prepare_wall - disk_before.prepare_wall).as_secs_f64();
-    // A warm pass that did no measurable prepare work has no meaningful
-    // ratio — report null rather than a floored-denominator artifact.
-    let speedup = if warm_prepare < 1e-6 {
-        Json::Null
-    } else {
-        Json::Num(cold_prepare / warm_prepare)
-    };
-
-    let doc = Json::Obj(vec![
-        ("column".to_owned(), Json::Str(spec.label.clone())),
-        ("fingerprint".to_owned(), Json::Str(settings.fingerprint())),
-        (
-            "cold".to_owned(),
-            stats_delta_obj(cold_wall, &cold_before, &cold_after),
-        ),
-        (
-            "warm".to_owned(),
-            stats_delta_obj(warm_wall, &warm_before, &warm_after),
-        ),
-        (
-            "disk".to_owned(),
-            stats_delta_obj(disk_wall, &disk_before, &disk_after),
-        ),
-        ("prepare_cold_s".to_owned(), Json::Num(cold_prepare)),
-        ("prepare_warm_s".to_owned(), Json::Num(warm_prepare)),
-        ("prepare_disk_s".to_owned(), Json::Num(disk_prepare)),
-        ("prepare_speedup".to_owned(), speedup),
-        ("reports_identical".to_owned(), Json::Bool(identical)),
-        (
-            "segmented".to_owned(),
-            Json::Obj(vec![
-                ("wall_s".to_owned(), Json::Num(seg_wall.as_secs_f64())),
-                ("segments".to_owned(), Json::Num(segments as f64)),
-                ("delta_rows".to_owned(), Json::Num(delta_rows as f64)),
-                (
-                    "merge_matches_rebuild".to_owned(),
-                    Json::Bool(merge_matches_rebuild),
-                ),
-            ]),
-        ),
-    ]);
-    std::fs::write(path, doc.encode() + "\n")
 }

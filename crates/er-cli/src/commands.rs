@@ -416,23 +416,19 @@ pub fn store(args: &[String]) -> Result<(), String> {
 /// (`--inject-faults`), an artifact-cache budget (`--cache-budget`) and a
 /// persistent artifact store (`--store-dir`) that later processes reuse.
 /// Shares its flag grammar with the benchmark binaries via
-/// [`er_bench::Settings`]. `--bench-prepare out.json` instead runs the
-/// first column three times (cold, warm against the shared artifact
-/// cache, then a fresh cache over the populated store) and writes the
-/// prepare-stage savings as JSON — including a segmented warm pass that
-/// replays the indexed side as an insert log. `--stream out.json`
-/// replays the first column as a batched insert/delete log against the
-/// segmented incremental index, checkpointed and resumable like the
-/// sweep itself. `--shards N` switches to the out-of-core streamed shard
-/// sweep (`--rows`/`--queries`/`--threshold` shape the workload,
+/// [`er_bench::Settings`]. `--stream out.json` instead replays the first
+/// column as a batched insert/delete log against the segmented
+/// incremental index, checkpointed and resumable like the sweep itself.
+/// `--shards N` (or `--rows N`) switches to the out-of-core streamed
+/// shard sweep (`--rows`/`--queries`/`--threshold` shape the workload,
 /// `--report` captures the deterministic report, `--shard-bench` the
-/// per-run metrics JSON).
+/// per-run metrics JSON). A report flag that the selected mode would
+/// ignore is refused.
 pub fn sweep(args: &[String]) -> Result<(), String> {
     let settings = er_bench::Settings::try_parse(args.iter().cloned())?;
     // Settings collects unrecognized flags; only the report flags are
     // valid here — anything else is a typo the user should hear about.
     let mut csv: Option<String> = None;
-    let mut bench_prepare: Option<String> = None;
     let mut stream: Option<String> = None;
     let mut report: Option<String> = None;
     let mut shard_bench: Option<String> = None;
@@ -441,13 +437,6 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--csv" => csv = Some(it.next().cloned().ok_or("--csv requires an output path")?),
-            "--bench-prepare" => {
-                bench_prepare = Some(
-                    it.next()
-                        .cloned()
-                        .ok_or("--bench-prepare requires an output path")?,
-                )
-            }
             "--stream" => {
                 stream = Some(
                     it.next()
@@ -474,11 +463,38 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown sweep flag {other:?}")),
         }
     }
+    let shard_sweep = settings.shards.is_some() || settings.rows.is_some();
+    if shard_sweep || stream.is_some() {
+        let mode = if shard_sweep {
+            "--shards/--rows"
+        } else {
+            "--stream"
+        };
+        let table_flags = [
+            ("--csv", csv.is_some()),
+            ("--candidates", opts.candidates),
+            ("--configs", opts.configs),
+        ];
+        if let Some((flag, _)) = table_flags.iter().find(|(_, given)| *given) {
+            return Err(format!(
+                "{flag} applies to the Table VII sweep (drop {mode})"
+            ));
+        }
+    }
+    if shard_sweep && stream.is_some() {
+        return Err(
+            "--stream replays a Table VII column, not the shard sweep (drop --shards/--rows)"
+                .into(),
+        );
+    }
+    if !shard_sweep && (report.is_some() || shard_bench.is_some()) {
+        return Err("--report/--shard-bench apply to the shard sweep (pass --shards N)".into());
+    }
     Threads::set(settings.threads);
     if let Some(plan) = settings.faults.clone() {
         er::core::faults::configure(Some(plan));
     }
-    if settings.shards.is_some() || settings.rows.is_some() {
+    if shard_sweep {
         let out = er_bench::run_shard_sweep(&settings, true).map_err(|e| e.to_string())?;
         print!("{}", out.report);
         if let Some(path) = report {
@@ -492,16 +508,8 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
         }
         return Ok(());
     }
-    if report.is_some() || shard_bench.is_some() {
-        return Err("--report/--shard-bench apply to the shard sweep (pass --shards N)".into());
-    }
     if let Some(path) = stream {
         er_bench::run_stream(&settings, Path::new(&path), true).map_err(|e| e.to_string())?;
-        eprintln!("wrote {path}");
-        return Ok(());
-    }
-    if let Some(path) = bench_prepare {
-        er_bench::bench_prepare(&settings, Path::new(&path), true).map_err(|e| e.to_string())?;
         eprintln!("wrote {path}");
         return Ok(());
     }
@@ -983,8 +991,125 @@ mod tests {
         assert!(err.contains("--inject-faults"), "{err}");
         let err = sweep(&s(&["--cache-budget", "lots"])).expect_err("bad budget");
         assert!(err.contains("--cache-budget"), "{err}");
-        let err = sweep(&s(&["--bench-prepare"])).expect_err("missing path");
-        assert!(err.contains("--bench-prepare"), "{err}");
+    }
+
+    /// Asserts `er sweep` refuses `args` with one line naming `flag`.
+    fn assert_sweep_refuses(args: &[&str], flag: &str, remedy: &str) {
+        let err = sweep(&s(args)).expect_err("ignored flag combination");
+        assert!(err.contains(flag), "{args:?}: {err}");
+        assert!(err.contains(remedy), "{args:?}: {err}");
+        assert!(!err.contains('\n'), "single-line: {err:?}");
+    }
+
+    #[test]
+    fn sweep_refuses_csv_under_the_shard_sweep() {
+        assert_sweep_refuses(
+            &["--shards", "2", "--csv", "t.csv"],
+            "--csv",
+            "--shards/--rows",
+        );
+        assert_sweep_refuses(
+            &["--rows", "50", "--csv", "t.csv"],
+            "--csv",
+            "--shards/--rows",
+        );
+    }
+
+    #[test]
+    fn sweep_refuses_candidates_under_the_shard_sweep() {
+        assert_sweep_refuses(
+            &["--shards", "2", "--candidates"],
+            "--candidates",
+            "--shards",
+        );
+    }
+
+    #[test]
+    fn sweep_refuses_configs_under_the_shard_sweep() {
+        assert_sweep_refuses(&["--rows", "50", "--configs"], "--configs", "--rows");
+    }
+
+    #[test]
+    fn sweep_refuses_csv_under_stream() {
+        assert_sweep_refuses(
+            &["--stream", "s.json", "--csv", "t.csv"],
+            "--csv",
+            "drop --stream",
+        );
+    }
+
+    #[test]
+    fn sweep_refuses_candidates_under_stream() {
+        assert_sweep_refuses(
+            &["--stream", "s.json", "--candidates"],
+            "--candidates",
+            "drop --stream",
+        );
+    }
+
+    #[test]
+    fn sweep_refuses_configs_under_stream() {
+        assert_sweep_refuses(
+            &["--configs", "--stream", "s.json"],
+            "--configs",
+            "drop --stream",
+        );
+    }
+
+    #[test]
+    fn sweep_refuses_stream_under_the_shard_sweep() {
+        assert_sweep_refuses(
+            &["--shards", "2", "--stream", "s.json"],
+            "--stream",
+            "--shards/--rows",
+        );
+    }
+
+    #[test]
+    fn sweep_refuses_shard_outputs_outside_the_shard_sweep() {
+        assert_sweep_refuses(&["--report", "r.txt"], "--report", "--shards N");
+        assert_sweep_refuses(
+            &["--stream", "s.json", "--shard-bench", "b.json"],
+            "--shard-bench",
+            "--shards N",
+        );
+    }
+
+    /// The exact flag set `benchmark/e2e`'s `shard_sweep` workload passes.
+    #[test]
+    fn sweep_accepts_the_shard_sweep_flags() {
+        let dir = std::env::temp_dir().join(format!("er-cli-shard-flags-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = |name: &str| dir.join(name).display().to_string();
+        let (store, report, bench) = (path("store"), path("r.txt"), path("b.json"));
+        sweep(&s(&[
+            "--shards",
+            "2",
+            "--rows",
+            "300",
+            "--queries",
+            "20",
+            "--threshold",
+            "0.4",
+            "--threads",
+            "1",
+            "--cache-budget",
+            "1M",
+            "--seed",
+            "3",
+            "--store-dir",
+            &store,
+            "--report",
+            &report,
+            "--shard-bench",
+            &bench,
+        ]))
+        .expect("shard sweep runs");
+        let doc = std::fs::read_to_string(&bench).expect("bench doc");
+        assert!(doc.contains("\"candidate_sets_identical\":true"), "{doc}");
+        assert!(std::fs::metadata(&report).expect("report").len() > 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

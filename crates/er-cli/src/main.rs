@@ -27,8 +27,7 @@ USAGE:
     er sweep    [--datasets D1,D4] [--scale F] [--grid quick] [--timeout S]
                 [--budget N] [--cache-budget 512M] [--store-dir <dir>]
                 [--checkpoint f.jsonl] [--resume f.jsonl]
-                [--inject-faults SPEC] [--csv out.csv]
-                [--bench-prepare out.json] [--candidates] [--configs]
+                [--inject-faults SPEC] [--csv out.csv] [--candidates] [--configs]
                 [--shards N] [--rows N] [--queries N] [--threshold F]
                 [--report f.txt] [--shard-bench f.json]
     er store    <inspect | verify | gc> --dir <dir>
@@ -65,11 +64,6 @@ SWEEP ARTIFACT CACHE:
                           written as checksummed files and reloaded (mmap)
                           by later runs, so a repeated sweep re-prepares
                           nothing; damaged files fall back to preparing
-    --bench-prepare f.json
-                          run the first column cold, warm (shared artifact
-                          cache) and warm-disk (fresh cache over the
-                          populated store) and write the prepare-stage
-                          savings (wall/prepare seconds, hit rate, speedup)
 
 SHARDED OUT-OF-CORE EXECUTION:
     --shards N            split the collection across N deterministic shards

@@ -6,7 +6,9 @@
 //!
 //! - the merge proxy's responses are byte-identical (modulo the `us`
 //!   latency field) to a single-process `er serve --shards 4`, for
-//!   epsilon AND kNN, at two child layouts and two thread counts;
+//!   epsilon AND kNN, at two child layouts and two thread counts, on
+//!   each of two concurrent client connections; SIGTERM then drains
+//!   the group and logs the `supervise: … served / … failed` summary;
 //! - SIGKILLing one child mid-load never drops or corrupts an answer —
 //!   every request gets exactly one row, failures are structured
 //!   `unavailable`/`timeout` errors, and the supervisor restarts the
@@ -19,7 +21,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use er_bench::jsonl::Json;
@@ -57,6 +60,7 @@ struct Daemon {
     child: Child,
     addr: String,
     stderr: Arc<Mutex<String>>,
+    stderr_reader: JoinHandle<()>,
 }
 
 fn start_daemon(subcommand: &str, store: &Path, extra: &[&str]) -> Daemon {
@@ -71,7 +75,7 @@ fn start_daemon(subcommand: &str, store: &Path, extra: &[&str]) -> Daemon {
         .spawn()
         .unwrap_or_else(|e| panic!("spawn er {subcommand}: {e}"));
     let stderr = Arc::new(Mutex::new(String::new()));
-    {
+    let stderr_reader = {
         let sink = stderr.clone();
         let pipe = child.stderr.take().expect("child stderr");
         std::thread::spawn(move || {
@@ -81,8 +85,8 @@ fn start_daemon(subcommand: &str, store: &Path, extra: &[&str]) -> Daemon {
                 buf.push_str(&line);
                 buf.push('\n');
             }
-        });
-    }
+        })
+    };
     let mut stdout = BufReader::new(child.stdout.take().expect("child stdout"));
     let mut banner = String::new();
     stdout.read_line(&mut banner).expect("read banner");
@@ -100,11 +104,13 @@ fn start_daemon(subcommand: &str, store: &Path, extra: &[&str]) -> Daemon {
         child,
         addr,
         stderr,
+        stderr_reader,
     }
 }
 
 impl Daemon {
-    /// SIGTERM, wait, assert a clean exit.
+    /// SIGTERM, wait, assert a clean exit; returns the whole stderr,
+    /// read to EOF, so lines logged while draining are included.
     fn stop(mut self) -> String {
         let kill = Command::new("kill")
             .args(["-TERM", &self.child.id().to_string()])
@@ -113,6 +119,7 @@ impl Daemon {
         assert!(kill.success(), "kill -TERM failed");
         let status = self.child.wait().expect("daemon exit");
         assert!(status.success(), "drain must exit 0, got {status:?}");
+        self.stderr_reader.join().expect("stderr reader");
         let text = self.stderr.lock().expect("stderr sink").clone();
         text
     }
@@ -143,23 +150,33 @@ fn query_rows(addr: &str, n: usize) -> Vec<String> {
     responses
 }
 
-/// The `(touched_per_query, survivors_per_query)` a daemon reports.
-fn lookup_work(addr: &str) -> (f64, f64) {
+/// Sends one in-band `{"op":op}` probe and parses the reply.
+fn probe(addr: &str, op: &str) -> Json {
     let mut conn = TcpStream::connect(addr).expect("connect");
     conn.set_read_timeout(Some(Duration::from_secs(30)))
         .expect("read timeout");
-    writeln!(conn, r#"{{"op":"stats"}}"#).expect("send");
+    writeln!(conn, r#"{{"op":"{op}"}}"#).expect("send");
     let mut line = String::new();
     BufReader::new(conn)
         .read_line(&mut line)
-        .expect("stats line");
-    let doc = Json::parse(&line).expect("stats parse");
-    let get = |key: &str| {
-        doc.get(key)
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| panic!("no {key} in {line}"))
-    };
-    (get("touched_per_query"), get("survivors_per_query"))
+        .expect("probe reply");
+    Json::parse(&line).unwrap_or_else(|e| panic!("{op} reply {line:?}: {e}"))
+}
+
+/// A numeric field of a probe reply.
+fn num(doc: &Json, key: &str) -> f64 {
+    doc.get(key)
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| panic!("no {key} in {}", doc.encode()))
+}
+
+/// The `(touched_per_query, survivors_per_query)` a daemon reports.
+fn lookup_work(addr: &str) -> (f64, f64) {
+    let stats = probe(addr, "stats");
+    (
+        num(&stats, "touched_per_query"),
+        num(&stats, "survivors_per_query"),
+    )
 }
 
 /// Drops the `us` latency field — the only response field that may
@@ -212,15 +229,31 @@ fn proxy_answers_byte_identical_to_single_process_across_layouts() {
                 threads,
             ]);
             let proxy = start_daemon("supervise", &store, &flags);
-            let got: Vec<String> = query_rows(&proxy.addr, N)
-                .iter()
-                .map(|l| normalize(l))
-                .collect();
-            assert_eq!(
-                got, want,
-                "{label}: {children} children / {threads} threads must merge to the \
-                 single-process bytes"
-            );
+            // Two clients pipeline the same lookups at once: neither may
+            // see the other's rows or a different merge.
+            let start = Barrier::new(2);
+            let clients: Vec<Vec<String>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..2)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            start.wait();
+                            query_rows(&proxy.addr, N)
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("client thread"))
+                    .collect()
+            });
+            for (client, rows) in clients.iter().enumerate() {
+                let got: Vec<String> = rows.iter().map(|l| normalize(l)).collect();
+                assert_eq!(
+                    got, want,
+                    "{label}: client {client} of 2, {children} children / {threads} threads \
+                     must merge to the single-process bytes"
+                );
+            }
             // Touched and kept rows are functions of the index and the
             // rows asked, so the proxy's aggregate equals one process's.
             assert_eq!(
@@ -228,10 +261,32 @@ fn proxy_answers_byte_identical_to_single_process_across_layouts() {
                 want_work,
                 "{label}: {children} children report the single-process lookup work"
             );
+            let n_children: f64 = children.parse().expect("children count");
+            let stats = probe(&proxy.addr, "stats");
+            assert_eq!(num(&stats, "children_reporting"), n_children, "{label}");
+            assert_eq!(
+                stats.get("shard_set").and_then(Json::as_str),
+                Some("0,1,2,3/4"),
+                "{label}: the children cover the whole family"
+            );
+            assert!(num(&stats, "p50_us") > 0.0, "{label}: latency histogram");
+            let health = probe(&proxy.addr, "health");
+            assert_eq!(
+                health.get("status").and_then(Json::as_str),
+                Some("serving"),
+                "{label}"
+            );
+            assert_eq!(num(&health, "children_up"), n_children, "{label}");
+            num(&health, "uptime_ms");
             let stderr = proxy.stop();
             assert!(
                 stderr.contains("restored segmented index"),
                 "{label}: children must restore, not rebuild:\n{stderr}"
+            );
+            let summary = format!("supervise: {} served / 0 failed", 2 * N);
+            assert!(
+                stderr.lines().any(|l| l.starts_with(&summary)),
+                "{label}: the drain logs `{summary} …`:\n{stderr}"
             );
         }
     }

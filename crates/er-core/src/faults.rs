@@ -277,11 +277,13 @@ pub fn corrupt_pairs(site: &str, candidates: &mut crate::candidates::CandidateSe
     }
 }
 
+/// The lock [`with_plan`] holds while its plan is installed.
+static SCOPE: Mutex<()> = Mutex::new(());
+
 /// Runs `f` with `plan` installed, restoring the previous plan after —
 /// and serializes callers on an internal lock so concurrently-running
 /// tests cannot clobber each other's plans.
 pub fn with_plan<T>(plan: FaultPlan, f: impl FnOnce() -> T) -> T {
-    static SCOPE: Mutex<()> = Mutex::new(());
     let _scope = SCOPE.lock().unwrap_or_else(|e| e.into_inner());
     configure(Some(plan));
     // Clear the plan even if `f` unwinds (kill faults do).
@@ -348,8 +350,14 @@ mod tests {
         assert_ne!(picks, picks3);
     }
 
+    /// Holds the plan lock: no other test can have a plan installed.
+    fn no_plan() -> std::sync::MutexGuard<'static, ()> {
+        SCOPE.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn fire_is_noop_when_disabled() {
+        let _none = no_plan();
         assert!(!enabled());
         fire("anything"); // must not panic
         assert!(!wants_corrupt("anything"));
@@ -372,6 +380,7 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         });
+        let _none = no_plan();
         assert!(!enabled(), "plan cleared after with_plan");
     }
 
@@ -406,6 +415,7 @@ mod tests {
             })
         });
         assert!(caught.expect_err("kill escapes").is::<KillSwitch>());
+        let _none = no_plan();
         assert!(!enabled(), "plan cleared even on unwind");
     }
 

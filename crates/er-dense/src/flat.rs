@@ -258,7 +258,7 @@ impl Filter for FlatRange {
 ///
 /// Holds the selection heap so a query loop pays for its allocation once
 /// instead of once per query; [`FlatIndex::knn_batch_with`] keeps one per
-/// worker chunk. The [`KnnScratch::consider`]/[`KnnScratch::take_sorted`]
+/// worker chunk. The `KnnScratch::consider`/`KnnScratch::take_sorted`
 /// protocol is the single implementation of the bounded-heap selection
 /// the flat scan and the partitioned index share, so they cannot diverge
 /// on replace/tie decisions.

@@ -20,8 +20,8 @@
 //! * the remainder loop is the same sequential scalar tail.
 //!
 //! `tests` cross-check `to_bits` equality against the blocked reference
-//! on every length class; the dispatcher itself is additionally covered
-//! by the `bench_kernels` gate in `er-bench`.
+//! on every length class; the dispatcher itself is covered by
+//! `vector::tests::dispatched_kernels_bitwise_match_blocked_reference`.
 
 #![cfg(feature = "simd")]
 

@@ -2,7 +2,7 @@
 //! shared by every dense NN method.
 //!
 //! [`dot`] and [`l2_sq`] are thin dispatchers: with the `simd` feature
-//! they route to the explicit AVX2/NEON kernels in [`crate::simd`] when
+//! they route to the explicit AVX2/NEON kernels in `crate::simd` when
 //! the host supports them, otherwise (and always without the feature)
 //! they run [`dot_blocked`]/[`l2_sq_blocked`] — safe kernels written for
 //! autovectorization: the hot loop runs over `LANES`-wide chunks with one
@@ -11,7 +11,7 @@
 //! followed by a fixed-shape lane reduction and a scalar remainder. Every
 //! dispatched variant reproduces the blocked kernels' exact operation
 //! sequence, so results are **bitwise identical across dispatch targets**
-//! (asserted via `to_bits` in `crate::simd` and `bench_kernels`) — a
+//! (asserted via `to_bits` in `crate::simd` and in this module's tests) — a
 //! candidate set can never depend on the host CPU.
 //!
 //! The summation order is a pure function of the input length, so results

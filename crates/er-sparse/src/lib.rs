@@ -14,7 +14,7 @@
 //! * [`scancount`] — the ScanCount inverted-list merge-count algorithm
 //!   [Li et al., ICDE 2008], suited to the low thresholds ER needs, over
 //!   CSR posting lists (AVX2 merge kernel behind the `simd` feature),
-//! * [`reference`] — frozen naive implementations the property tests use
+//! * [`mod@reference`] — frozen naive implementations the property tests use
 //!   as an oracle for the optimized layouts,
 //! * [`epsilon`] — the range join (ε-Join),
 //! * [`knn`] — the k-nearest-neighbor join with distinct-similarity

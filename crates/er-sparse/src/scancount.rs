@@ -11,7 +11,7 @@
 //! Queries that arrive pre-interned ([`ScanCountIndex::query_ids_with`])
 //! skip the hash lookup entirely. The merge loop itself dispatches to an
 //! AVX2 gather kernel at runtime when the `simd` feature is enabled (see
-//! [`crate::simd`]); [`merge_list_scalar`] is the always-available,
+//! `simd.rs`); `merge_list_scalar` is the always-available,
 //! always-tested reference, and every variant is exactly
 //! candidate-set-identical because the loop is pure integer arithmetic.
 //!

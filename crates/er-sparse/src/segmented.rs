@@ -47,7 +47,7 @@
 //!
 //! ## kNN across segments
 //!
-//! One [`DistinctFloor`] spans the layers of a row, and the kernel tests
+//! One `DistinctFloor` spans the layers of a row, and the kernel tests
 //! liveness last, so only live rows feed it: a dead high-similarity copy
 //! would otherwise raise it and cut a live row of the top k. The floor is
 //! then the k-th distinct similarity of *some* live rows — at or below

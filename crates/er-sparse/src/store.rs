@@ -13,7 +13,7 @@
 //! [`SparseSegmentCodec`] (id 10) stores one immutable
 //! [`SparseSegment`]: its sequence number, its stable-id column, and
 //! exactly the packed artifact layout of id 8 (the shared
-//! [`encode_token_sets_artifact`]/[`decode_token_sets_artifact`] pair).
+//! `encode_token_sets_artifact`/`decode_token_sets_artifact` pair).
 //! [`SparseManifestCodec`] (id 11) stores the [`SparseManifest`] — the
 //! segment stack's seqs plus the mutable state (delta rows, tombstones,
 //! raw query sets) — and reports the segment repr keys it references so

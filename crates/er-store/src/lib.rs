@@ -7,7 +7,7 @@
 //! below it — a directory of versioned, checksummed, single-file artifacts
 //! — so the next *process* doesn't prepare them at all:
 //!
-//! - [`format`]: the on-disk layout. A 64-byte little-endian header
+//! - [`mod@format`]: the on-disk layout. A 64-byte little-endian header
 //!   (magic, version, dataset fingerprint, repr key, whole-file XXH64), a
 //!   section table, and 64-byte-aligned flat-array sections with their own
 //!   checksums.
